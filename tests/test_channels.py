@@ -219,6 +219,15 @@ def test_propagate_numeric_coarse_step_fails_validation():
         propagate_numeric(rho, IndependentDecay(1.0, 1.0), 40.0, dt=4.0)
 
 
+def test_propagate_numeric_overflow_fails_validation():
+    # at these horizons the dt=4 map overflows to inf/NaN, and a NaN trace
+    # passes a plain "drift > eps_trace" test because NaN compares False
+    rho = make_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    for t in (1000.0, 4000.0):
+        with pytest.raises(StepTooLargeError):
+            propagate_numeric(rho, IndependentDecay(1.0, 1.0), t, dt=4.0)
+
+
 def test_propagate_numeric_semigroup():
     channel = CollectiveDephasing(1.0)
     rho = random_density(11)

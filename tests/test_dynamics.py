@@ -37,9 +37,12 @@ from esdkit import (
 )
 from esdkit.errors import (
     ParseError,
+    StepTooLargeError,
     UnsupportedChannelError,
     ValidationError,
 )
+
+from _oracles import decay_jumps, lindblad_matrix, rk4_evolve
 
 
 def pure_family(a):
@@ -104,6 +107,25 @@ def test_simulate_numeric_matches_closed_on_same_grid():
     np.testing.assert_allclose(closed.negativity, numeric.negativity, atol=1e-6)
     np.testing.assert_allclose(closed.min_pt_eig, numeric.min_pt_eig, atol=1e-6)
     np.testing.assert_allclose(closed.abs_w, numeric.abs_w, atol=1e-6)
+
+
+def test_simulate_numeric_samples_match_looped_rk4():
+    # 451 steps of 1e-3 with a short last step of 5e-4, retained every 40
+    channel = IndependentDecay(0.8, 1.2, nbar=0.3)
+    lmat = lindblad_matrix(decay_jumps(0.8, 1.2, 0.3))
+    rho = random_density(9)
+    traj = simulate(rho, channel, horizon=0.4505, dt=1e-3, sample_every=40)
+    expected = [k * 1e-3 for k in range(0, 451, 40)] + [0.4505]
+    np.testing.assert_allclose(traj.times, expected, rtol=0, atol=1e-15)
+    for t, state in zip(traj.times, traj.states):
+        ref = rk4_evolve(lmat, rho.matrix, float(t), 1e-3)
+        ref = ref / np.trace(ref).real
+        np.testing.assert_allclose(state.matrix, ref, atol=1e-12)
+
+
+def test_simulate_numeric_coarse_step_fails_validation():
+    with pytest.raises(StepTooLargeError):
+        simulate(random_density(9), IndependentDecay(1.0, 1.0), horizon=40.0, dt=4.0)
 
 
 def test_simulate_validation():
