@@ -43,6 +43,7 @@ suite cross-checks them against the numeric propagator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -98,8 +99,8 @@ __all__ = [
 
 def _require_rates(pairs: dict[str, float]) -> None:
     for name, value in pairs.items():
-        if value < 0.0:
-            raise OutOfRangeError(f"rate {name}={value!r} must be nonnegative")
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise OutOfRangeError(f"rate {name}={value!r} must be nonnegative and finite")
     if max(pairs.values()) <= 0.0:
         raise OutOfRangeError("at least one rate must be positive")
 
@@ -114,8 +115,8 @@ class IndependentDecay:
 
     def __post_init__(self) -> None:
         _require_rates({"gamma_a": self.gamma_a, "gamma_b": self.gamma_b})
-        if self.nbar < 0.0:
-            raise OutOfRangeError(f"nbar={self.nbar!r} must be nonnegative")
+        if not (self.nbar >= 0.0 and math.isfinite(self.nbar)):
+            raise OutOfRangeError(f"nbar={self.nbar!r} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,13 @@ class CustomChannel:
                 raise ValidationError(
                     f"jump operator {idx + 1} has shape {m.shape}, expected (4, 4)"
                 )
+            if not np.isfinite(m).all():
+                raise OutOfRangeError(f"jump operator {idx + 1} has non-finite entries")
             rate = float(rate)
-            if rate < 0.0:
-                raise OutOfRangeError(f"jump rate {idx + 1} is negative: {rate!r}")
+            if not (rate >= 0.0 and math.isfinite(rate)):
+                raise OutOfRangeError(
+                    f"jump rate {idx + 1} must be nonnegative and finite: {rate!r}"
+                )
             top = max(top, rate)
             normalized.append((_frozen(m), rate))
         if top <= 0.0:
@@ -255,13 +260,16 @@ def _split_steps(t: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _revalidate(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _revalidate(
+    stack: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Re-check an (n, 4, 4) stack of integrator outputs.
 
     Each matrix is hermitized and divided by its trace.  The earliest
     matrix with a non-finite entry, a trace off 1 by more than
     ``eps_trace`` or an eigenvalue below ``-eps_psd`` raises
-    :class:`StepTooLargeError`; otherwise the normalized stack is returned.
+    :class:`StepTooLargeError`; otherwise returns the normalized stack and
+    the lowest eigenvalue of each of its matrices.
     """
     m = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     traces = np.trace(m, axis1=-2, axis2=-1).real
@@ -285,7 +293,7 @@ def _revalidate(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         raise StepTooLargeError(
             f"minimum eigenvalue {float(lowest[i]):.3e} after integration; reduce dt"
         )
-    return m
+    return m, lowest
 
 
 def propagate_numeric(
@@ -321,15 +329,18 @@ def propagate_numeric(
         v = np.linalg.matrix_power(_rk4_map(lv, dt), n_full) @ rho0.matrix.reshape(16)
         if rem > 0.0:
             v = _rk4_map(lv, rem) @ v
-    return _unchecked_density(_revalidate(v.reshape(1, 4, 4), tol)[0])
+    return _unchecked_density(_revalidate(v.reshape(1, 4, 4), tol)[0][0])
 
 
 def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray, ...]:
     """Closed-form X-state evolution sampled on an array of times.
 
     Returns arrays ``(a, b, c, d, w, z)`` matching the shape of ``times``
-    (populations real, coherences complex).  Exact for catalog channels;
-    raises :class:`UnsupportedChannelError` otherwise.
+    (populations real, coherences complex).  The fields of ``x`` may also
+    be arrays that broadcast against ``times``: ``(R, 1)`` columns of R
+    states against ``n`` shared times give ``(R, n)`` curves, with the same
+    elementwise arithmetic as one state at a time.  Exact for catalog
+    channels; raises :class:`UnsupportedChannelError` otherwise.
     """
     tau = np.asarray(times, dtype=float)
     if tau.size and float(tau.min()) < 0.0:

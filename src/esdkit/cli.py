@@ -4,8 +4,10 @@ Subcommands ``evolve``, ``death-time``, ``classify`` and ``sweep`` parse
 state/channel literals, run the corresponding library operations and emit
 CSV or JSON to stdout or ``--out``.  Values resolve as flags over
 config-file entries over built-in defaults; outputs are byte-identical
-for identical configs and seeds.  Exit codes: 0 ok, 2 usage or parse
-error, 3 runtime error.
+for identical configs and seeds.  ``sweep`` scans all grid rows in one
+batched death-time pass in this process; ``--jobs`` is still accepted and
+validated for compatibility but has no effect.  Exit codes: 0 ok, 2 usage
+or parse error (including non-finite numbers), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import multiprocessing
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 from .channels import ChannelSpec, ExplicitSamples, is_catalog, max_rate, parse_channel_literal
 from .classify import classify_channel, classify_set, scenario_to_json
 from .dynamics import (
-    DEFAULT_SAMPLES,
+    _death_reports,
     death_report_to_json,
     death_time,
     simulate,
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--eps-death", type=float, help="negativity death threshold")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--config", help="JSON file with defaults for any flag")
-        cmd.add_argument("--jobs", type=int, help="worker processes for sweep rows")
+        cmd.add_argument("--jobs", type=int,
+                         help="accepted for compatibility; has no effect")
         commands[name] = cmd
     commands["classify"].add_argument("--set-file", help="JSON file with explicit member states")
     commands["classify"].add_argument("--samples", type=int,
@@ -154,9 +156,20 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         count = int(parts[2])
     except ValueError:
         raise ParseError(f"invalid --grid {text!r}: non-numeric bound or count") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParseError(f"invalid --grid {text!r}: bounds must be finite")
     if count < 1:
         raise ParseError(f"invalid --grid {text!r}: n must be >= 1")
     return name, np.linspace(start, stop, count)
+
+
+def _positive(value, name: str) -> float | None:
+    if value is None:
+        return None
+    number = float(value)
+    if not (number > 0.0 and math.isfinite(number)):
+        raise ParseError(f"invalid --{name}: must be positive and finite, got {value!r}")
+    return number
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -177,16 +190,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     state_text = resolve("state")
     if state_text is not None:
         config.state = _parse_field("state", str(state_text), parse_state_literal)
-    horizon = resolve("horizon")
-    if horizon is not None:
-        config.horizon = float(horizon)
-        if config.horizon <= 0.0:
-            raise ParseError(f"invalid --horizon: must be positive, got {horizon!r}")
-    dt = resolve("dt")
-    if dt is not None:
-        config.dt = float(dt)
-        if config.dt <= 0.0:
-            raise ParseError(f"invalid --dt: must be positive, got {dt!r}")
+    config.horizon = _positive(resolve("horizon"), "horizon")
+    config.dt = _positive(resolve("dt"), "dt")
     config.seed = int(resolve("seed", 0))
     eps_death = resolve("eps_death")
     try:
@@ -334,12 +339,6 @@ def _sweep_state(config: RunConfig, names: list[str], values: tuple[float, ...])
     )
 
 
-def _sweep_row(task) -> tuple[str, float | None, int]:
-    x0, channel, horizon, dt, tol = task
-    report = death_time(x0, channel, horizon, tol=tol, dt=dt)
-    return report.verdict, report.t_star, report.crossings
-
-
 def cmd_sweep(config: RunConfig) -> int:
     channel = _require(config.channel, "channel")
     if not config.grids:
@@ -353,23 +352,14 @@ def cmd_sweep(config: RunConfig) -> int:
     if horizon is None:
         horizon = 50.0 / max_rate(channel)
     combos = list(itertools.product(*(axis for _, axis in config.grids)))
-    tasks = []
-    for values in combos:
-        x0 = _sweep_state(config, names, tuple(float(v) for v in values))
-        tasks.append((x0, channel, horizon, config.dt, config.tol))
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_row, tasks)
-    else:
-        results = [_sweep_row(task) for task in tasks]
+    rows = [_sweep_state(config, names, tuple(float(v) for v in values)) for values in combos]
+    reports = _death_reports(rows, channel, horizon, config.tol, config.dt)
     lines = [",".join(names) + ",verdict,t_star,crossings"]
-    for values, (verdict, t_star, crossings) in zip(combos, results):
+    for values, report in zip(combos, reports):
         cells = [repr(float(v)) for v in values]
-        cells.append(verdict)
-        cells.append("" if t_star is None else repr(float(t_star)))
-        cells.append(str(crossings))
+        cells.append(report.verdict)
+        cells.append("" if report.t_star is None else repr(float(report.t_star)))
+        cells.append(str(report.crossings))
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", config.out)
     return 0

@@ -27,11 +27,18 @@ entangled block's margin goes strictly negative), ``"asymptotic"``
 bounded away from 0, non-vanishing trend) and ``"never_entangled"``.
 Conflicting trends raise :class:`~esdkit.errors.InconclusiveError` rather
 than guessing.
+
+One kernel, ``_death_reports``, scans any number of X states that share a
+channel, horizon and grid: the closed forms run on chunks of rows at once
+and the crossings behind all ``"finite"`` verdicts are refined in one
+vectorised bisection.  :func:`death_time` is that kernel on a single row,
+and CLI sweeps call it once for the whole grid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +75,7 @@ from .states import (
     XState,
     _unchecked_density,
     embed_x,
+    make_x,
     project_x,
 )
 
@@ -97,6 +105,9 @@ _VERDICTS = (VERDICT_FINITE, VERDICT_ASYMPTOTIC, VERDICT_PERSISTENT, VERDICT_NEV
 
 # default number of retained samples per trajectory / death-time grid
 DEFAULT_SAMPLES = 2000
+
+# grid samples per chunk of rows in a batched death-time scan (bounds memory)
+_SCAN_SAMPLES = 8192
 
 CSV_HEADER = "t,negativity,min_pt_eig,min_eig,a,b,c,d,abs_w,abs_z"
 
@@ -174,13 +185,11 @@ def _x_matrices(curves: tuple[np.ndarray, ...]) -> np.ndarray:
     return arr
 
 
-def _stack_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(negativity, min PT eigenvalue, min eigenvalue) per stacked matrix."""
+def _pt_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negativity, min PT eigenvalue) per stacked matrix."""
     pt_eigs = np.linalg.eigvalsh(_partial_transpose_many(stack))
     neg = np.where(pt_eigs < 0.0, -pt_eigs, 0.0).sum(axis=1)
-    min_pt = pt_eigs[:, 0]
-    min_eig = np.linalg.eigvalsh(stack)[:, 0]
-    return neg, min_pt, min_eig
+    return neg, pt_eigs[:, 0]
 
 
 def _x_diagnostics(
@@ -194,7 +203,8 @@ def _x_diagnostics(
     exchanged.  Block arithmetic keeps tiny negativities sign-accurate
     where a full eigensolve would drown them in roundoff from the large
     complement block.  Returns ``(negativity, min_pt, min_eig, outer_pt,
-    inner_pt)``.
+    inner_pt)``, elementwise over the curves, so a batch of ``(R, n)``
+    curves gives ``(R, n)`` diagnostics.
     """
     a, b, c, d, w, z = curves
     outer_pt = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(z))
@@ -234,17 +244,16 @@ def simulate(
     advances from one retained sample to the next, with the same result as
     stepping up to roundoff.  All retained samples are re-validated
     together; the earliest failing one raises
-    :class:`~esdkit.errors.StepTooLargeError`.
+    :class:`~esdkit.errors.StepTooLargeError`.  A bare ``XState`` is
+    validated as :func:`~esdkit.states.make_x` would.
     """
-    if horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
+    _require_positive("horizon", horizon)
     if dt is None:
         dt = 1e-3 / max_rate(channel)
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt!r}")
+    _require_positive("dt", dt)
     x0: XState | None
     if isinstance(state0, XState):
-        x0 = state0
+        x0 = make_x(state0.a, state0.b, state0.c, state0.d, state0.w, state0.z, tol=tol)
     elif isinstance(state0, DensityMatrix):
         try:
             x0 = project_x(state0, tol)
@@ -264,12 +273,11 @@ def simulate(
     times = np.minimum(np.asarray(ks, dtype=float) * dt, horizon)
 
     populations: tuple[np.ndarray, ...] | None = None
-    diagnostics: tuple[np.ndarray, ...] | None = None
     if x0 is not None and is_catalog(channel):
         curves = x_closed_curves(x0, channel, times)
         stack = _x_matrices(curves)
         populations = curves[:4]
-        diagnostics = _x_diagnostics(curves)[:3]
+        neg, min_pt, min_eig = _x_diagnostics(curves)[:3]
         abs_w = np.abs(curves[4])
         abs_z = np.abs(curves[5])
     else:
@@ -289,23 +297,19 @@ def simulate(
                 vs.append(hop @ vs[-1])
             vs.append(last @ vs[-1])
         raw = np.stack(vs).reshape(-1, 4, 4)
-        stack = np.concatenate([state0.matrix[None], _revalidate(raw[1:], tol)])
+        later, later_min = _revalidate(raw[1:], tol)
+        stack = np.concatenate([state0.matrix[None], later])
+        min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
+        neg, min_pt = _pt_diagnostics(stack)
         abs_w = np.abs(stack[:, 0, 3])
         abs_z = np.abs(stack[:, 1, 2])
 
-    neg, min_pt, min_eig = (
-        diagnostics if diagnostics is not None else _stack_diagnostics(stack)
-    )
     stack.setflags(write=False)
     states = tuple(_unchecked_density(stack[i]) for i in range(stack.shape[0]))
     kwargs = {}
     if populations is not None:
         kwargs = dict(zip("abcd", populations))
     return Trajectory(times, states, neg, min_pt, min_eig, abs_w, abs_z, **kwargs)
-
-
-def _x_negativity_at(x0: XState, channel: ChannelSpec, times: np.ndarray) -> np.ndarray:
-    return _x_diagnostics(x_closed_curves(x0, channel, times))[0]
 
 
 def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
@@ -350,18 +354,134 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
     return -(b * c) if inner else abs(x0.z) ** 2 - a * d
 
 
-def _bisect_threshold(margin, lo: float, hi: float, xtol: float) -> float:
-    """Locate a sign change of ``margin`` inside [lo, hi] to width ``xtol``."""
-    sign_lo = margin(lo) > 0.0
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _bisect_deaths(
+    cols: list[np.ndarray],
+    channel: ChannelSpec,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    xtol: float,
+    eps_death: float,
+) -> np.ndarray:
+    """Refine alive-to-dead brackets ``[lo, hi]``, one per entry of ``cols``.
+
+    All brackets are halved together; each stops once its own width is at
+    most ``xtol`` (or after 200 halvings) and reports its midpoint.
+    """
+    lo, hi = lo.copy(), hi.copy()
     for _ in range(200):
-        if hi - lo <= xtol:
+        open_ = np.nonzero(hi - lo > xtol)[0]
+        if open_.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if (margin(mid) > 0.0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[open_] + hi[open_])
+        part = XState(*(col[open_] for col in cols))
+        up = _x_diagnostics(x_closed_curves(part, channel, mid))[0] > eps_death
+        lo[open_] = np.where(up, mid, lo[open_])
+        hi[open_] = np.where(up, hi[open_], mid)
     return 0.5 * (lo + hi)
+
+
+def _death_reports(
+    rows: list[XState],
+    channel: ChannelSpec,
+    horizon: float,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    dt: float | None = None,
+) -> list[DeathReport]:
+    """Death-time reports for valid X states sharing a channel and grid.
+
+    The rows' parameters become ``(R, 1)`` columns that broadcast against
+    the shared time grid; the scan runs on chunks of about
+    ``_SCAN_SAMPLES`` grid samples and keeps a few numbers per row, never
+    a full (rows, samples) array.  The last crossing of every row that
+    dies gives its ``t_star`` and is refined in one vectorised bisection;
+    the catalog block margins are monotone, so any earlier crossing is
+    threshold flicker whose time is never reported.  The mid-horizon
+    trend samples of all rows are taken in one call.  An inconclusive
+    trend raises for the earliest such row.
+    """
+    if not is_catalog(channel):
+        raise UnsupportedChannelError(
+            "death_time requires a catalog channel with closed-form dynamics"
+        )
+    _require_positive("horizon", horizon)
+    if dt is None:
+        dt = horizon / DEFAULT_SAMPLES
+    if not 0.0 < dt <= horizon:
+        raise ValidationError(f"dt={dt!r} must satisfy 0 < dt <= horizon")
+
+    n = max(1, int(round(horizon / dt)))
+    times = np.linspace(0.0, horizon, n + 1)
+    cols = [np.array(f) for f in zip(*((x.a, x.b, x.c, x.d, x.w, x.z) for x in rows))]
+    count = len(rows)
+    ever = np.empty(count, dtype=bool)
+    alive_end = np.empty(count, dtype=bool)
+    inner_peak = np.empty(count, dtype=bool)
+    crossings = np.empty(count, dtype=int)
+    last_flip = np.empty(count, dtype=int)
+    start = np.empty(count)
+    end = np.empty(count)
+    step = max(1, _SCAN_SAMPLES // (n + 1))
+    for first in range(0, count, step):
+        part = slice(first, first + step)
+        chunk = XState(*(col[part, None] for col in cols))
+        neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(chunk, channel, times))
+        alive = neg > tol.eps_death
+        flips = alive[:, :-1] != alive[:, 1:]
+        ever[part] = alive.any(axis=1)
+        alive_end[part] = alive[:, -1]
+        crossings[part] = flips.sum(axis=1)
+        last_flip[part] = n - 1 - np.argmax(flips[:, ::-1], axis=1)
+        # the block that carried the entanglement (at most one block ever does)
+        peak = np.argmax(neg, axis=1)[:, None]
+        inner_peak[part] = (
+            np.take_along_axis(inner_pt, peak, 1) < np.take_along_axis(outer_pt, peak, 1)
+        )[:, 0]
+        start[part] = neg[:, 0]
+        end[part] = neg[:, -1]
+
+    # Negativity below eps_death at the horizon: genuine disentanglement or
+    # underflow of a strictly positive negativity, decided by the late-time
+    # margin of the block that carried the entanglement.
+    finite = np.zeros(count, dtype=bool)
+    for i in np.nonzero(ever & ~alive_end)[0]:
+        finite[i] = _limit_margin(rows[i], channel, bool(inner_peak[i])) < 0.0
+    t_star = np.full(count, np.nan)
+    dying = np.nonzero(finite)[0]
+    j = last_flip[dying]
+    t_star[dying] = _bisect_deaths(
+        [col[dying] for col in cols], channel, times[j], times[j + 1],
+        1e-9 / max_rate(channel), tol.eps_death,
+    )
+    mids = np.full(count, 0.5 * horizon)
+    middle = _x_diagnostics(x_closed_curves(XState(*cols), channel, mids))[0]
+
+    reports = []
+    for i in range(count):
+        t = None
+        if not ever[i]:
+            verdict = VERDICT_NEVER
+        elif finite[i]:
+            verdict, t = VERDICT_FINITE, float(t_star[i])
+        elif not alive_end[i]:
+            verdict = VERDICT_ASYMPTOTIC
+        else:
+            s0, s1, s2 = float(start[i]), float(middle[i]), float(end[i])
+            if s2 < s1 < s0:
+                verdict = VERDICT_ASYMPTOTIC
+            elif s2 >= s1:
+                verdict = VERDICT_PERSISTENT
+            else:
+                raise InconclusiveError(
+                    f"negativity trend over [0, {horizon!r}] conflicts "
+                    f"({s0:.3e} -> {s1:.3e} -> {s2:.3e}); rerun with a longer horizon"
+                )
+        reports.append(DeathReport(verdict, t, horizon, int(crossings[i]), tol.eps_death))
+    return reports
 
 
 def death_time(
@@ -374,67 +494,19 @@ def death_time(
     """Scan, bracket and refine the loss of entanglement over ``[0, horizon]``.
 
     Negativity is sampled on a uniform grid (``dt`` defaults to
-    ``horizon / DEFAULT_SAMPLES``); every threshold crossing is refined by
-    bisection to ``delta_t = 1e-9 / max_rate(channel)``.  The verdict
-    follows the module docstring; revivals narrower than the grid are
-    invisible by construction and the report carries the horizon used.
+    ``horizon / DEFAULT_SAMPLES``); the crossing that reports ``t_star`` is
+    refined by bisection to ``delta_t = 1e-9 / max_rate(channel)``.  The
+    verdict follows the module docstring; revivals narrower than the grid
+    are invisible by construction and the report carries the horizon used.
+    ``x0`` is validated as :func:`~esdkit.states.make_x` would.  This is
+    the batched kernel that CLI sweeps use, run on a single row.
     """
     if not isinstance(x0, XState):
         raise ValidationError(
             f"death_time requires an XState, got {type(x0).__name__}"
         )
-    if not is_catalog(channel):
-        raise UnsupportedChannelError(
-            "death_time requires a catalog channel with closed-form dynamics"
-        )
-    if horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon!r}")
-    if dt is None:
-        dt = horizon / DEFAULT_SAMPLES
-    if not 0.0 < dt <= horizon:
-        raise ValidationError(f"dt={dt!r} must satisfy 0 < dt <= horizon")
-
-    n = max(1, int(round(horizon / dt)))
-    times = np.linspace(0.0, horizon, n + 1)
-    neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(x0, channel, times))
-    alive = neg > tol.eps_death
-
-    def margin(t: float) -> float:
-        return float(_x_negativity_at(x0, channel, np.array([t]))[0]) - tol.eps_death
-
-    delta_t = 1e-9 / max_rate(channel)
-    flips = np.nonzero(alive[:-1] != alive[1:])[0]
-    refined = [
-        _bisect_threshold(margin, float(times[i]), float(times[i + 1]), delta_t)
-        for i in flips
-    ]
-    crossings = len(flips)
-
-    if not alive.any():
-        return DeathReport(VERDICT_NEVER, None, horizon, crossings, tol.eps_death)
-    if not alive[-1]:
-        # Negativity sits below eps_death at the horizon.  Whether that is
-        # genuine disentanglement or underflow of a strictly positive
-        # negativity is decided by the late-time margin of the block that
-        # carried the entanglement (at most one block ever does).
-        peak = int(np.argmax(neg))
-        was_inner = bool(inner_pt[peak] < outer_pt[peak])
-        if _limit_margin(x0, channel, was_inner) < 0.0:
-            return DeathReport(
-                VERDICT_FINITE, float(refined[-1]), horizon, crossings, tol.eps_death
-            )
-        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
-    start = float(neg[0])
-    middle = float(_x_negativity_at(x0, channel, np.array([0.5 * horizon]))[0])
-    end = float(neg[-1])
-    if end < middle < start:
-        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
-    if end >= middle:
-        return DeathReport(VERDICT_PERSISTENT, None, horizon, crossings, tol.eps_death)
-    raise InconclusiveError(
-        f"negativity trend over [0, {horizon!r}] conflicts "
-        f"({start:.3e} -> {middle:.3e} -> {end:.3e}); rerun with a longer horizon"
-    )
+    x0 = make_x(x0.a, x0.b, x0.c, x0.d, x0.w, x0.z, tol=tol)
+    return _death_reports([x0], channel, horizon, tol, dt)[0]
 
 
 def crossing_count(traj: Trajectory, tol: ToleranceConfig = DEFAULT_TOL) -> int:

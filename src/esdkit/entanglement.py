@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import NotHermitianError, NotPositiveError
 from .states import DEFAULT_TOL, DensityMatrix, ToleranceConfig, XState
 
 __all__ = [
@@ -126,16 +126,21 @@ def is_entangled_ppt(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 
 def x_entangled(x: XState, tol: ToleranceConfig = DEFAULT_TOL) -> XVerdict:
-    """Entanglement decision on X-state parameters, without diagonalization."""
+    """Entanglement decision on X-state parameters, without diagonalization.
+
+    Raises :class:`~esdkit.errors.NotPositiveError` when both margins exceed
+    the band, which no valid state can do.
+    """
     w_margin = abs(x.w) ** 2 - x.b * x.c
     z_margin = abs(x.z) ** 2 - x.a * x.d
     w_active = w_margin > tol.eps_ent
     z_active = z_margin > tol.eps_ent
     # valid states cannot violate both bounds at once
-    assert not (w_active and z_active), (
-        f"both margins positive (w: {w_margin:.3e}, z: {z_margin:.3e}); "
-        "state violates positivity"
-    )
+    if w_active and z_active:
+        raise NotPositiveError(
+            f"both margins positive (w: {w_margin:.3e}, z: {z_margin:.3e}); "
+            "state violates positivity"
+        )
     if w_active:
         return XVerdict(True, "w-block", w_margin, z_margin)
     if z_active:

@@ -19,6 +19,8 @@ Dense matrices are stored row-major; literals serialize them the same way.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +179,13 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
     Raises
     ------
-    NotHermitianError, TraceNotOneError, NotPositiveError
+    OutOfRangeError, NotHermitianError, TraceNotOneError, NotPositiveError
     """
     matrix = np.asarray(entries, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise OutOfRangeError("density matrix has non-finite entries")
     matrix = _hermitize(matrix, tol.eps_psd, "density matrix")
     drift = abs(float(matrix.trace().real) - 1.0)
     if drift > tol.eps_trace:
@@ -197,11 +201,14 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
     """Validate X-state parameters.
 
-    Checks nonnegative populations, unit trace and the two positivity
-    bounds ``|w|^2 <= a d`` and ``|z|^2 <= b c`` (each within tolerance).
+    Checks finite values, nonnegative populations, unit trace and the two
+    positivity bounds ``|w|^2 <= a d`` and ``|z|^2 <= b c`` (each within
+    tolerance).
     """
     pops = {"a": float(a), "b": float(b), "c": float(c), "d": float(d)}
     for name, value in pops.items():
+        if not math.isfinite(value):
+            raise OutOfRangeError(f"population {name}={value!r} is not finite")
         if value < -tol.eps_psd:
             raise NegativePopulationError(f"population {name}={value!r} below -{tol.eps_psd:.1e}")
     drift = abs(sum(pops.values()) - 1.0)
@@ -209,6 +216,9 @@ def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XSta
         raise TraceNotOneError(f"populations sum deviates from 1 by {drift:.3e}")
     w = complex(w)
     z = complex(z)
+    for name, value in (("w", w), ("z", z)):
+        if not cmath.isfinite(value):
+            raise OutOfRangeError(f"coherence {name}={value!r} is not finite")
     if abs(w) ** 2 > pops["a"] * pops["d"] + tol.eps_psd:
         raise NotPositiveError(
             f"|w|^2={abs(w) ** 2:.6e} exceeds a*d={pops['a'] * pops['d']:.6e}"

@@ -8,6 +8,19 @@ than tautology.
 
 import numpy as np
 
+from esdkit.channels import max_rate, x_closed_curves
+from esdkit.dynamics import (
+    DEFAULT_SAMPLES,
+    VERDICT_ASYMPTOTIC,
+    VERDICT_FINITE,
+    VERDICT_NEVER,
+    VERDICT_PERSISTENT,
+    DeathReport,
+    _limit_margin,
+    _x_diagnostics,
+)
+from esdkit.errors import InconclusiveError
+
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -115,3 +128,69 @@ def random_local_unitary(rng):
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         blocks.append(q)
     return np.kron(blocks[0], blocks[1])
+
+
+def _x_negativity_at(x0, channel, times):
+    return _x_diagnostics(x_closed_curves(x0, channel, times))[0]
+
+
+def _bisect_threshold(margin, lo, hi, xtol):
+    """Locate a sign change of ``margin`` inside [lo, hi] to width ``xtol``."""
+    sign_lo = margin(lo) > 0.0
+    for _ in range(200):
+        if hi - lo <= xtol:
+            break
+        mid = 0.5 * (lo + hi)
+        if (margin(mid) > 0.0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def death_time_scalar(x0, channel, horizon, tol, dt=None):
+    """One-row death-time scan: the grid, a scalar bisection of every
+    crossing, and the verdict rules, one state at a time.
+
+    This is the death-time code as it stood before scans were batched
+    over rows; it reuses the library's closed forms and block margins.
+    """
+    if dt is None:
+        dt = horizon / DEFAULT_SAMPLES
+    n = max(1, int(round(horizon / dt)))
+    times = np.linspace(0.0, horizon, n + 1)
+    neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(x0, channel, times))
+    alive = neg > tol.eps_death
+
+    def margin(t):
+        return float(_x_negativity_at(x0, channel, np.array([t]))[0]) - tol.eps_death
+
+    delta_t = 1e-9 / max_rate(channel)
+    flips = np.nonzero(alive[:-1] != alive[1:])[0]
+    refined = [
+        _bisect_threshold(margin, float(times[i]), float(times[i + 1]), delta_t)
+        for i in flips
+    ]
+    crossings = len(flips)
+
+    if not alive.any():
+        return DeathReport(VERDICT_NEVER, None, horizon, crossings, tol.eps_death)
+    if not alive[-1]:
+        peak = int(np.argmax(neg))
+        was_inner = bool(inner_pt[peak] < outer_pt[peak])
+        if _limit_margin(x0, channel, was_inner) < 0.0:
+            return DeathReport(
+                VERDICT_FINITE, float(refined[-1]), horizon, crossings, tol.eps_death
+            )
+        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
+    start = float(neg[0])
+    middle = float(_x_negativity_at(x0, channel, np.array([0.5 * horizon]))[0])
+    end = float(neg[-1])
+    if end < middle < start:
+        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
+    if end >= middle:
+        return DeathReport(VERDICT_PERSISTENT, None, horizon, crossings, tol.eps_death)
+    raise InconclusiveError(
+        f"negativity trend over [0, {horizon!r}] conflicts "
+        f"({start:.3e} -> {middle:.3e} -> {end:.3e}); rerun with a longer horizon"
+    )

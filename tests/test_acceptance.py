@@ -39,6 +39,7 @@ from esdkit import (
     x_entangled,
 )
 
+from _cli import cli_env
 from _oracles import (
     collective_jumps,
     decay_jumps,
@@ -287,7 +288,8 @@ def test_criterion_12_cli_outputs_byte_identical(capsys):
     for args in commands:
         first, second = (
             subprocess.run(
-                [sys.executable, "-m", "esdkit", *args], capture_output=True
+                [sys.executable, "-m", "esdkit", *args], capture_output=True,
+                env=cli_env(),
             )
             for _ in range(2)
         )

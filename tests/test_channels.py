@@ -57,6 +57,15 @@ from _oracles import (
 def test_negative_rates_rejected():
     with pytest.raises(OutOfRangeError):
         IndependentDecay(-0.1, 1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(OutOfRangeError):
+            IndependentDecay(value, 1.0)
+        with pytest.raises(OutOfRangeError):
+            IndependentDecay(1.0, 1.0, nbar=value)
+        with pytest.raises(OutOfRangeError):
+            CustomChannel(((np.eye(4), value),))
+        with pytest.raises(OutOfRangeError):
+            CustomChannel(((np.full((4, 4), value), 1.0),))
     with pytest.raises(OutOfRangeError):
         IndependentDecay(1.0, 1.0, nbar=-0.5)
     with pytest.raises(OutOfRangeError):

@@ -9,13 +9,15 @@ import pytest
 
 from esdkit import parse_trajectory_csv
 
+from _cli import cli_env
+
 PURE_07 = "x:0.7,0,0,0.3,0.45825756949558405,0,0,0"
 
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "esdkit", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
 
 
@@ -285,6 +287,32 @@ def test_bad_literals_exit_2():
     )
     assert bad_state.returncode == 2
     assert "invalid --state" in bad_state.stderr
+
+
+def dense_literal_with(first_entry: str) -> str:
+    """I/4 as a dense literal with its (1,1) entry replaced."""
+    entries = [f"{0.25 if i == j else 0.0}:0.0" for i in range(4) for j in range(4)]
+    entries[0] = first_entry
+    return "dense:" + ",".join(entries)
+
+
+@pytest.mark.parametrize("args", [
+    ("death-time", "--channel", "decay:1,1,0", "--state", "x:nan,0,0,1,0,0,0,0"),
+    ("evolve", "--channel", "decay:1,1,0", "--state", dense_literal_with("nan:0"),
+     "--horizon", "1"),
+    ("death-time", "--channel", "decay:nan,1,0", "--state", PURE_07),
+    ("classify", "--channel", "collective:nan"),
+    ("death-time", "--channel", "decay:inf,1,0", "--state", PURE_07),
+    ("death-time", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "nan"),
+    ("evolve", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "inf"),
+    ("sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0",
+     "--grid", "w=nan:0.1:2"),
+], ids=["x-state", "dense-state", "decay-rate", "collective-rate", "infinite-rate",
+        "nan-horizon", "infinite-horizon", "grid-bound"])
+def test_non_finite_inputs_exit_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert result.stderr.startswith("error: invalid --")
 
 
 def test_usage_errors_exit_2():

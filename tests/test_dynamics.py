@@ -1,5 +1,8 @@
 """Trajectories, death-time verdicts and their serialized forms."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,14 +38,18 @@ from esdkit import (
     trajectory_to_csv,
     werner,
 )
+from esdkit.dynamics import DEFAULT_SAMPLES, _SCAN_SAMPLES, _death_reports
 from esdkit.errors import (
+    NotPositiveError,
     ParseError,
     StepTooLargeError,
     UnsupportedChannelError,
     ValidationError,
 )
+from esdkit.states import DEFAULT_TOL, XState
 
-from _oracles import decay_jumps, lindblad_matrix, rk4_evolve
+from _cli import cli_env
+from _oracles import death_time_scalar, decay_jumps, lindblad_matrix, rk4_evolve
 
 
 def pure_family(a):
@@ -139,6 +146,11 @@ def test_simulate_validation():
         simulate(x, channel, horizon=1.0, sample_every=0)
     with pytest.raises(ValidationError):
         simulate(np.eye(4) / 4.0, channel, horizon=1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            simulate(x, channel, horizon=value)
+        with pytest.raises(ValidationError):
+            simulate(x, channel, horizon=1.0, dt=value)
 
 
 # --- death_time -------------------------------------------------------------
@@ -248,6 +260,106 @@ def test_death_time_validation():
         death_time(pure_family(0.7), channel, 1.0, dt=2.0)
     with pytest.raises(UnsupportedChannelError):
         death_time(pure_family(0.7), as_custom(channel), 1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            death_time(pure_family(0.7), channel, value)
+        with pytest.raises(ValidationError):
+            death_time(pure_family(0.7), channel, 1.0, dt=value)
+
+
+# a positivity-violating X state that only direct construction can produce
+UNPHYSICAL_X = XState(0.1, 0.4, 0.4, 0.1, 0.5, 0.5)
+
+
+def test_death_time_and_simulate_validate_bare_x_state():
+    channel = IndependentDecay(1.0, 1.0, 0.0)
+    with pytest.raises(NotPositiveError):
+        death_time(UNPHYSICAL_X, channel, 5.0)
+    with pytest.raises(NotPositiveError):
+        simulate(UNPHYSICAL_X, channel, 5.0)
+
+
+def test_bare_x_state_rejected_under_python_O():
+    code = (
+        "from esdkit import IndependentDecay, NotPositiveError, death_time, x_entangled\n"
+        "from esdkit.states import XState\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "x = XState(0.1, 0.4, 0.4, 0.1, 0.5, 0.5)\n"
+        "for call in (lambda: x_entangled(x),\n"
+        "             lambda: death_time(x, IndependentDecay(1.0, 1.0, 0.0), 5.0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotPositiveError:\n"
+        "        print('rejected')\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                            text=True, env=cli_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["rejected", "rejected"]
+
+
+def death_batch_states():
+    """X states with every death-time outcome, in interleaved order."""
+    fixed = [
+        werner(0.25), pure_family(0.7), bell("psi+"), pure_family(0.3), pure_family(0.5),
+        make_x(0.25, 0.25, 0.25, 0.25), make_x(0.3, 0.2, 0.2, 0.3, w=0.28),
+        pure_family(np.nextafter(0.5, 1.0)),
+        bell("phi+"), make_x(0.2, 0.3, 0.3, 0.2, z=0.25), pure_family(0.55),
+        bell("psi-"), pure_family(0.95),
+    ]
+    mixed = []
+    for i, state in enumerate(fixed):
+        mixed += [state, random_x(i)]
+    return mixed
+
+
+# (channel, horizon) pairs whose batches together reach every verdict
+DEATH_BATCHES = [
+    (IndependentDecay(1.0, 1.0, 0.0), 50.0),
+    (IndependentDecay(1.0, 1.0, 0.0), 3.0),
+    (IndependentDecay(1.0, 0.5, 0.3), 20.0),
+    (IndependentDecay(1.0, 0.0, 0.0), 30.0),
+    (IndependentDephasing(1.0, 0.5), 10.0),
+    (CollectiveDephasing(1.0), 10.0),
+    (CollectiveDephasing(1.0), 50.0),
+]
+
+
+def assert_matches_scalar_scan(rows, channel, horizon, dt=None):
+    reports = _death_reports(rows, channel, horizon, DEFAULT_TOL, dt)
+    assert len(reports) == len(rows)
+    for x, got in zip(rows, reports):
+        want = death_time_scalar(x, channel, horizon, DEFAULT_TOL, dt)
+        assert got.verdict == want.verdict, x
+        assert got.crossings == want.crossings, x
+        assert got.t_star == want.t_star, x
+        assert got.horizon == horizon
+    return reports
+
+
+def test_batched_death_reports_match_scalar_scan_bit_for_bit():
+    rows = death_batch_states()
+    # several chunks, the last one partial
+    per_chunk = _SCAN_SAMPLES // (DEFAULT_SAMPLES + 1)
+    assert len(rows) > 3 * per_chunk and len(rows) % per_chunk
+    outcomes = set()
+    for channel, horizon in DEATH_BATCHES:
+        reports = assert_matches_scalar_scan(rows, channel, horizon)
+        outcomes |= {(r.verdict, r.crossings > 0) for r in reports}
+        assert [death_time(x, channel, horizon) for x in rows] == reports
+    assert {
+        (VERDICT_NEVER, False), (VERDICT_FINITE, True), (VERDICT_PERSISTENT, False),
+        (VERDICT_ASYMPTOTIC, True), (VERDICT_ASYMPTOTIC, False),
+    } <= outcomes
+
+
+def test_batched_death_reports_one_row_per_chunk():
+    rows = death_batch_states()[:9]
+    horizon = 10.0
+    dt = horizon / 10_000
+    assert _SCAN_SAMPLES // (round(horizon / dt) + 1) == 0  # one row per chunk
+    for channel in (IndependentDecay(1.0, 1.0, 0.0), CollectiveDephasing(1.0)):
+        assert_matches_scalar_scan(rows, channel, horizon, dt)
 
 
 # --- crossing_count ---------------------------------------------------------

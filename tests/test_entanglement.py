@@ -24,7 +24,8 @@ from esdkit import (
     werner,
     x_entangled,
 )
-from esdkit.errors import NotHermitianError
+from esdkit.errors import NotHermitianError, NotPositiveError
+from esdkit.states import XState
 
 from _oracles import charpoly_eigs, pt_entrywise, random_local_unitary
 
@@ -173,3 +174,9 @@ def test_classify_position_margins_are_consistent():
             assert region.margin < -1e-10
         elif region.label == LABEL_INTERIOR:
             assert region.margin > 1e-10 and region.rank_margin > 1e-10
+
+
+def test_x_entangled_rejects_both_margins_positive():
+    # only direct construction can produce this state; it is not positive
+    with pytest.raises(NotPositiveError):
+        x_entangled(XState(0.1, 0.4, 0.4, 0.1, 0.5, 0.5))

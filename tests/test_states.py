@@ -85,6 +85,11 @@ def test_make_density_rejections():
         make_density(bad)
     with pytest.raises(ValidationError):
         make_density(np.eye(3) / 3.0)
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        entries = np.eye(4, dtype=complex) / 4.0
+        entries[3, 3] = value
+        with pytest.raises(OutOfRangeError):
+            make_density(entries)
 
 
 def test_make_x_validation():
@@ -98,6 +103,12 @@ def test_make_x_validation():
         make_x(0.5, 0.0, 0.0, 0.5, w=0.51)
     with pytest.raises(NotPositiveError):
         make_x(0.25, 0.25, 0.25, 0.25, z=0.26)
+    with pytest.raises(OutOfRangeError):
+        make_x(float("nan"), 0.0, 0.0, 1.0)
+    with pytest.raises(OutOfRangeError):
+        make_x(0.5, 0.0, 0.0, 0.5, w=complex(0.0, float("nan")))
+    with pytest.raises(OutOfRangeError):
+        make_x(0.5, 0.0, 0.0, 0.5, z=float("inf"))
 
 
 def test_embed_project_round_trip():
