@@ -31,7 +31,7 @@ from .dynamics import (
     simulate,
     trajectory_to_csv,
 )
-from .errors import NotXFormError, ParseError
+from .errors import NotXFormError, ParseError, ValidationError
 from .states import (
     DensityMatrix,
     ToleranceConfig,
@@ -332,11 +332,15 @@ def _sweep_state(config: RunConfig, names: list[str], values: tuple[float, ...])
         "z_re": base.z.real, "z_im": base.z.imag,
     }
     fields.update(zip(names, values))
-    return make_x(
-        fields["a"], fields["b"], fields["c"], fields["d"],
-        complex(fields["w_re"], fields["w_im"]),
-        complex(fields["z_re"], fields["z_im"]),
-    )
+    try:
+        return make_x(
+            fields["a"], fields["b"], fields["c"], fields["d"],
+            complex(fields["w_re"], fields["w_im"]),
+            complex(fields["z_re"], fields["z_im"]),
+        )
+    except ValidationError as exc:
+        point = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        raise ParseError(f"invalid sweep grid point {point}: {exc}") from None
 
 
 def cmd_sweep(config: RunConfig) -> int:

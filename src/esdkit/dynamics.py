@@ -3,30 +3,28 @@
 A trajectory is a sampled solution of a channel's master equation together
 with per-sample entanglement diagnostics.  "Death" is operationalized on
 the negativity with threshold ``eps_death``: an initially entangled state
-suffers sudden death when the negativity crosses the threshold at a finite
-time and stays dead up to the observation horizon.
+suffers sudden death when the negativity falls to the threshold at a
+finite time and stays there.
 
 Death detection works on X states, where the partial transpose splits into
 two 2x2 blocks and the negativity has an explicit closed form in the state
-parameters.  The subtlety is that a state decaying toward the separable
-boundary without ever reaching it ("asymptotic death") has negativity that
-eventually sinks below any fixed threshold, so a threshold crossing alone
-does not establish sudden death.  When the sampled negativity is below
-threshold at the horizon, the verdict is settled by the sign of the exact
-late-time block margin (see ``_limit_margin``): strictly negative means
-the entangled block really leaves the entangled region at a finite time
-(``"finite"``), otherwise the margin stays positive forever and merely
-drains to zero (``"asymptotic"``).  For a state still above threshold at
-the horizon no finite computation can separate asymptotic decay from
-survival, so those verdicts come from explicit trend tests over the
-horizon, and the horizon is always part of the report.
+parameters.  A state decaying toward the separable boundary without ever
+reaching it ("asymptotic death") has negativity that eventually sinks
+below any fixed threshold, so a threshold crossing alone does not
+establish sudden death, and a state still entangled at the horizon may
+yet die after it.  Every verdict on an entangled state is therefore
+decided by the sign of the exact late-time margin of the block that
+carried the entanglement (see ``_limit_margin``), whatever the horizon:
+strictly negative means the block leaves the entangled region at a finite
+time (``"finite"``); zero or positive means it never does, and its
+negativity drains to zero (``"asymptotic"``) unless the block is not
+damped at all (``"persistent"``; among catalog blocks only the z-block
+under collective dephasing, the decoherence-free subspace).
 
-Verdict vocabulary: ``"finite"`` (negativity crossed the threshold and the
-entangled block's margin goes strictly negative), ``"asymptotic"``
-(negativity positive but draining toward 0), ``"persistent"`` (negativity
-bounded away from 0, non-vanishing trend) and ``"never_entangled"``.
-Conflicting trends raise :class:`~esdkit.errors.InconclusiveError` rather
-than guessing.
+Verdict vocabulary: ``"finite"`` (the negativity reaches ``eps_death`` at
+``t_star``, which may lie past the horizon), ``"asymptotic"`` (negativity
+positive but draining toward 0), ``"persistent"`` (negativity bounded
+away from 0) and ``"never_entangled"``.
 
 One kernel, ``_death_reports``, scans any number of X states that share a
 channel, horizon and grid: the closed forms run on chunks of rows at once
@@ -61,7 +59,6 @@ from .channels import (
 )
 from .entanglement import _partial_transpose_many
 from .errors import (
-    InconclusiveError,
     NoConvergenceError,
     NotXFormError,
     ParseError,
@@ -154,7 +151,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DeathReport:
-    """Outcome of a death-time scan over ``[0, horizon]``."""
+    """Outcome of a death-time scan over ``[0, horizon]``.
+
+    For catalog channels the verdict does not depend on the horizon, and a
+    ``"finite"`` verdict's ``t_star`` may lie past it; ``crossings``
+    counts the threshold crossings seen on the grid up to the horizon.
+    """
 
     verdict: str
     t_star: float | None
@@ -224,6 +226,23 @@ def _retained_steps(n_steps: int, sample_every: int) -> list[int]:
     return ks
 
 
+def _x_form(state0: XState | DensityMatrix, tol: ToleranceConfig) -> XState | None:
+    """The validated X form of ``state0``, or None for a dense non-X state.
+
+    A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
+    """
+    if isinstance(state0, XState):
+        return make_x(state0.a, state0.b, state0.c, state0.d, state0.w, state0.z, tol=tol)
+    if not isinstance(state0, DensityMatrix):
+        raise ValidationError(
+            f"state0 must be XState or DensityMatrix, got {type(state0).__name__}"
+        )
+    try:
+        return project_x(state0, tol)
+    except NotXFormError:
+        return None
+
+
 def simulate(
     state0: XState | DensityMatrix,
     channel: ChannelSpec,
@@ -251,18 +270,7 @@ def simulate(
     if dt is None:
         dt = 1e-3 / max_rate(channel)
     _require_positive("dt", dt)
-    x0: XState | None
-    if isinstance(state0, XState):
-        x0 = make_x(state0.a, state0.b, state0.c, state0.d, state0.w, state0.z, tol=tol)
-    elif isinstance(state0, DensityMatrix):
-        try:
-            x0 = project_x(state0, tol)
-        except NotXFormError:
-            x0 = None
-    else:
-        raise ValidationError(
-            f"state0 must be XState or DensityMatrix, got {type(state0).__name__}"
-        )
+    x0 = _x_form(state0, tol)
 
     n_steps = max(1, int(np.ceil(horizon / dt * (1.0 - 1e-12))))
     if sample_every is None:
@@ -322,9 +330,10 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
     channel it factors into a decaying envelope times a bracket with a
     finite limit, and only the bracket's sign matters: negative means the
     margin crosses zero at some finite time, zero or positive means the
-    block stays entangled forever while its negativity drains away.  The
-    limit bracket is plain O(1) arithmetic on the initial data, so its
-    sign survives long after the pointwise margin has degraded.
+    block stays entangled forever, its negativity draining away unless
+    the block is undamped.  The limit bracket is plain O(1) arithmetic on
+    the initial data, so its sign survives long after the pointwise margin
+    has degraded.
     """
     a, b, c, d = x0.a, x0.b, x0.c, x0.d
     if isinstance(channel, IndependentDecay):
@@ -397,12 +406,18 @@ def _death_reports(
     The rows' parameters become ``(R, 1)`` columns that broadcast against
     the shared time grid; the scan runs on chunks of about
     ``_SCAN_SAMPLES`` grid samples and keeps a few numbers per row, never
-    a full (rows, samples) array.  The last crossing of every row that
-    dies gives its ``t_star`` and is refined in one vectorised bisection;
-    the catalog block margins are monotone, so any earlier crossing is
-    threshold flicker whose time is never reported.  The mid-horizon
-    trend samples of all rows are taken in one call.  An inconclusive
-    trend raises for the earliest such row.
+    a full (rows, samples) array.  The verdict of every entangled row is
+    the sign of the limit margin of the block that carried its
+    entanglement (see the module docstring).  A row that dies is
+    bracketed by its last grid crossing, or, if it is still alive at the
+    horizon ``H``, by ``[H 2^(k-1), H 2^k]`` for the first ``k`` at which
+    the closed-form negativity is at most ``eps_death``; all brackets are
+    refined in one vectorised bisection.  The catalog block margins are
+    monotone, so an earlier crossing is threshold flicker whose time is
+    never reported.  A row whose negativity stays above ``eps_death`` at
+    every representable time (possible only through roundoff at the
+    separable boundary or populations in the tolerance band of
+    :func:`~esdkit.states.make_x`) is ``"persistent"``.
     """
     if not is_catalog(channel):
         raise UnsupportedChannelError(
@@ -423,8 +438,6 @@ def _death_reports(
     inner_peak = np.empty(count, dtype=bool)
     crossings = np.empty(count, dtype=int)
     last_flip = np.empty(count, dtype=int)
-    start = np.empty(count)
-    end = np.empty(count)
     step = max(1, _SCAN_SAMPLES // (n + 1))
     for first in range(0, count, step):
         part = slice(first, first + step)
@@ -441,24 +454,37 @@ def _death_reports(
         inner_peak[part] = (
             np.take_along_axis(inner_pt, peak, 1) < np.take_along_axis(outer_pt, peak, 1)
         )[:, 0]
-        start[part] = neg[:, 0]
-        end[part] = neg[:, -1]
 
-    # Negativity below eps_death at the horizon: genuine disentanglement or
-    # underflow of a strictly positive negativity, decided by the late-time
-    # margin of the block that carried the entanglement.
     finite = np.zeros(count, dtype=bool)
-    for i in np.nonzero(ever & ~alive_end)[0]:
+    for i in np.nonzero(ever)[0]:
         finite[i] = _limit_margin(rows[i], channel, bool(inner_peak[i])) < 0.0
+    # the z-block margin under collective dephasing is constant
+    persistent = ever & ~finite & ~inner_peak & isinstance(channel, CollectiveDephasing)
+
+    lo, hi = np.empty(count), np.empty(count)
+    dead = np.nonzero(finite & ~alive_end)[0]
+    lo[dead], hi[dead] = times[last_flip[dead]], times[last_flip[dead] + 1]
+    # rows alive at the horizon: double the time until they are dead
+    late = np.nonzero(finite & alive_end)[0]
+    reach = horizon
+    while late.size and math.isfinite(2.0 * reach):
+        part = XState(*(col[late] for col in cols))
+        # rate * time may overflow near the largest float; exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            curves = x_closed_curves(part, channel, np.full(late.size, 2.0 * reach))
+        up = _x_diagnostics(curves)[0] > tol.eps_death
+        lo[late[~up]], hi[late[~up]] = reach, 2.0 * reach
+        late = late[up]
+        reach *= 2.0
+    # alive at every representable time
+    finite[late], persistent[late] = False, True
+
     t_star = np.full(count, np.nan)
     dying = np.nonzero(finite)[0]
-    j = last_flip[dying]
     t_star[dying] = _bisect_deaths(
-        [col[dying] for col in cols], channel, times[j], times[j + 1],
+        [col[dying] for col in cols], channel, lo[dying], hi[dying],
         1e-9 / max_rate(channel), tol.eps_death,
     )
-    mids = np.full(count, 0.5 * horizon)
-    middle = _x_diagnostics(x_closed_curves(XState(*cols), channel, mids))[0]
 
     reports = []
     for i in range(count):
@@ -467,19 +493,10 @@ def _death_reports(
             verdict = VERDICT_NEVER
         elif finite[i]:
             verdict, t = VERDICT_FINITE, float(t_star[i])
-        elif not alive_end[i]:
-            verdict = VERDICT_ASYMPTOTIC
+        elif persistent[i]:
+            verdict = VERDICT_PERSISTENT
         else:
-            s0, s1, s2 = float(start[i]), float(middle[i]), float(end[i])
-            if s2 < s1 < s0:
-                verdict = VERDICT_ASYMPTOTIC
-            elif s2 >= s1:
-                verdict = VERDICT_PERSISTENT
-            else:
-                raise InconclusiveError(
-                    f"negativity trend over [0, {horizon!r}] conflicts "
-                    f"({s0:.3e} -> {s1:.3e} -> {s2:.3e}); rerun with a longer horizon"
-                )
+            verdict = VERDICT_ASYMPTOTIC
         reports.append(DeathReport(verdict, t, horizon, int(crossings[i]), tol.eps_death))
     return reports
 
@@ -491,13 +508,15 @@ def death_time(
     tol: ToleranceConfig = DEFAULT_TOL,
     dt: float | None = None,
 ) -> DeathReport:
-    """Scan, bracket and refine the loss of entanglement over ``[0, horizon]``.
+    """Scan, bracket and refine the loss of entanglement of ``x0``.
 
     Negativity is sampled on a uniform grid (``dt`` defaults to
     ``horizon / DEFAULT_SAMPLES``); the crossing that reports ``t_star`` is
     refined by bisection to ``delta_t = 1e-9 / max_rate(channel)``.  The
-    verdict follows the module docstring; revivals narrower than the grid
-    are invisible by construction and the report carries the horizon used.
+    verdict follows the module docstring and does not depend on the
+    horizon; a state still entangled at the horizon that dies later gets a
+    ``t_star`` past it.  Revivals narrower than the grid are invisible by
+    construction and the report carries the horizon used.
     ``x0`` is validated as :func:`~esdkit.states.make_x` would.  This is
     the batched kernel that CLI sweeps use, run on a single row.
     """
@@ -532,25 +551,13 @@ def estimate_asymptote(
     1e-8).  Raises :class:`NoConvergenceError` after 40 doublings, or if
     the settled state is outside the set.  Dense states go through
     :func:`~esdkit.channels.propagate_numeric`, whose cost grows with the
-    log of the step count, so there is no step budget.
+    log of the step count, so there is no step budget.  A bare ``XState``
+    is validated as :func:`~esdkit.states.make_x` would.
     """
     if not is_catalog(channel):
         raise UnsupportedChannelError("estimate_asymptote requires a catalog channel")
     target = asymptotic_set(channel)
-    x0: XState | None
-    if isinstance(state0, XState):
-        x0 = state0
-        dense0 = None
-    elif isinstance(state0, DensityMatrix):
-        dense0 = state0
-        try:
-            x0 = project_x(state0, tol)
-        except NotXFormError:
-            x0 = None
-    else:
-        raise ValidationError(
-            f"state0 must be XState or DensityMatrix, got {type(state0).__name__}"
-        )
+    x0 = _x_form(state0, tol)
 
     rate = max_rate(channel)
     horizon = 1.0 / rate
@@ -572,7 +579,7 @@ def estimate_asymptote(
             prev = cur
             horizon *= 2.0
     else:
-        prev = propagate_numeric(dense0, channel, horizon, dt, tol)
+        prev = propagate_numeric(state0, channel, horizon, dt, tol)
         for _ in range(40):
             # the increment from T to 2T equals the current horizon
             cur = propagate_numeric(prev, channel, horizon, dt, tol)
@@ -583,27 +590,16 @@ def estimate_asymptote(
     raise NoConvergenceError("no entrywise convergence after 40 horizon doublings")
 
 
-def _cell(value: float) -> str:
-    return repr(float(value))
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory; population cells are empty for non-X runs."""
+    pops = (traj.a, traj.b, traj.c, traj.d) if traj.is_x else ()
+    rows = np.column_stack((
+        traj.times, traj.negativity, traj.min_pt_eig, traj.min_eig, *pops,
+        traj.abs_w, traj.abs_z,
+    )).tolist()
+    gap = "," if traj.is_x else ",,,,,"
     lines = [CSV_HEADER]
-    for i in range(len(traj.times)):
-        cells = [
-            _cell(traj.times[i]),
-            _cell(traj.negativity[i]),
-            _cell(traj.min_pt_eig[i]),
-            _cell(traj.min_eig[i]),
-        ]
-        if traj.is_x:
-            cells += [_cell(traj.a[i]), _cell(traj.b[i]),
-                      _cell(traj.c[i]), _cell(traj.d[i])]
-        else:
-            cells += ["", "", "", ""]
-        cells += [_cell(traj.abs_w[i]), _cell(traj.abs_z[i])]
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row[:-2])) + gap + ",".join(map(repr, row[-2:])) for row in rows]
     return "\n".join(lines) + "\n"
 
 

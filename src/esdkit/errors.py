@@ -55,9 +55,5 @@ class NoConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without converging."""
 
 
-class InconclusiveError(RuntimeError):
-    """Finite-horizon trend tests conflict; retry with a longer horizon."""
-
-
 class EmptySetError(ValueError):
     """An asymptotic set with no members cannot be classified."""

@@ -6,9 +6,11 @@ superoperators), so agreement with the library routes is evidence rather
 than tautology.
 """
 
+import math
+
 import numpy as np
 
-from esdkit.channels import max_rate, x_closed_curves
+from esdkit.channels import CollectiveDephasing, max_rate, x_closed_curves
 from esdkit.dynamics import (
     DEFAULT_SAMPLES,
     VERDICT_ASYMPTOTIC,
@@ -19,7 +21,6 @@ from esdkit.dynamics import (
     _limit_margin,
     _x_diagnostics,
 )
-from esdkit.errors import InconclusiveError
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -149,11 +150,11 @@ def _bisect_threshold(margin, lo, hi, xtol):
 
 
 def death_time_scalar(x0, channel, horizon, tol, dt=None):
-    """One-row death-time scan: the grid, a scalar bisection of every
-    crossing, and the verdict rules, one state at a time.
+    """One-row death-time scan: the grid, the limit-margin verdict, a
+    doubling bracket past the horizon and a scalar bisection, one state
+    at a time.
 
-    This is the death-time code as it stood before scans were batched
-    over rows; it reuses the library's closed forms and block margins.
+    It reuses the library's closed forms and block margins.
     """
     if dt is None:
         dt = horizon / DEFAULT_SAMPLES
@@ -161,36 +162,29 @@ def death_time_scalar(x0, channel, horizon, tol, dt=None):
     times = np.linspace(0.0, horizon, n + 1)
     neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(x0, channel, times))
     alive = neg > tol.eps_death
+    flips = np.nonzero(alive[:-1] != alive[1:])[0]
+
+    def report(verdict, t_star=None):
+        return DeathReport(verdict, t_star, horizon, len(flips), tol.eps_death)
 
     def margin(t):
-        return float(_x_negativity_at(x0, channel, np.array([t]))[0]) - tol.eps_death
-
-    delta_t = 1e-9 / max_rate(channel)
-    flips = np.nonzero(alive[:-1] != alive[1:])[0]
-    refined = [
-        _bisect_threshold(margin, float(times[i]), float(times[i + 1]), delta_t)
-        for i in flips
-    ]
-    crossings = len(flips)
+        with np.errstate(over="ignore"):
+            return float(_x_negativity_at(x0, channel, np.array([t]))[0]) - tol.eps_death
 
     if not alive.any():
-        return DeathReport(VERDICT_NEVER, None, horizon, crossings, tol.eps_death)
-    if not alive[-1]:
-        peak = int(np.argmax(neg))
-        was_inner = bool(inner_pt[peak] < outer_pt[peak])
-        if _limit_margin(x0, channel, was_inner) < 0.0:
-            return DeathReport(
-                VERDICT_FINITE, float(refined[-1]), horizon, crossings, tol.eps_death
-            )
-        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
-    start = float(neg[0])
-    middle = float(_x_negativity_at(x0, channel, np.array([0.5 * horizon]))[0])
-    end = float(neg[-1])
-    if end < middle < start:
-        return DeathReport(VERDICT_ASYMPTOTIC, None, horizon, crossings, tol.eps_death)
-    if end >= middle:
-        return DeathReport(VERDICT_PERSISTENT, None, horizon, crossings, tol.eps_death)
-    raise InconclusiveError(
-        f"negativity trend over [0, {horizon!r}] conflicts "
-        f"({start:.3e} -> {middle:.3e} -> {end:.3e}); rerun with a longer horizon"
-    )
+        return report(VERDICT_NEVER)
+    peak = int(np.argmax(neg))
+    was_inner = bool(inner_pt[peak] < outer_pt[peak])
+    if _limit_margin(x0, channel, was_inner) >= 0.0:
+        undamped = isinstance(channel, CollectiveDephasing) and not was_inner
+        return report(VERDICT_PERSISTENT if undamped else VERDICT_ASYMPTOTIC)
+    if alive[-1]:
+        lo = horizon
+        while math.isfinite(2.0 * lo) and margin(2.0 * lo) > 0.0:
+            lo *= 2.0
+        hi = 2.0 * lo
+        if not math.isfinite(hi):
+            return report(VERDICT_PERSISTENT)
+    else:
+        lo, hi = float(times[flips[-1]]), float(times[flips[-1] + 1])
+    return report(VERDICT_FINITE, _bisect_threshold(margin, lo, hi, 1e-9 / max_rate(channel)))

@@ -38,6 +38,8 @@ from esdkit import (
     werner,
     x_entangled,
 )
+from esdkit.entanglement import _partial_transpose_many
+from esdkit.states import DEFAULT_TOL
 
 from _cli import cli_env
 from _oracles import (
@@ -241,14 +243,21 @@ def test_criterion_09_interior_attractor_forces_finite_death(capsys):
 
 def test_criterion_10_separable_fraction_positive_measure(capsys):
     total = 100_000
-    separable = sum(
-        not is_entangled_ppt(random_density(seed)) for seed in range(total)
-    )
-    fraction = separable / total
+    stack = np.empty((total, 4, 4), dtype=complex)
+    for seed in range(total):
+        stack[seed] = random_density(seed).matrix
+    # is_entangled_ppt over the whole stack: the partial transpose of an
+    # exactly Hermitian matrix is exactly Hermitian, so no symmetrization
+    lowest = np.linalg.eigvalsh(_partial_transpose_many(stack))[:, 0]
+    fraction = np.count_nonzero(lowest >= -DEFAULT_TOL.eps_ent) / total
+    # the Hilbert-Schmidt separability probability is 8/33 (conjectured by
+    # Slater; Lovas & Andai, J. Phys. A 50 (2017) 295303), here within 5 sigma
+    band = 5.0 * np.sqrt(fraction * (1.0 - fraction) / total)
     check(
         capsys, 10,
-        f"separable fraction of {total} Hilbert-Schmidt samples: {fraction:.4f}",
-        0.05 < fraction < 0.6,
+        f"separable fraction of {total} Hilbert-Schmidt samples: {fraction:.4f} "
+        f"(8/33 = {8 / 33:.4f} +- {band:.4f})",
+        0.05 < fraction < 0.6 and abs(fraction - 8 / 33) <= band,
     )
 
 

@@ -226,6 +226,13 @@ def test_sweep_grid_errors_exit_2():
         "--grid", "a=0.2:0.3:2", "--grid", "a=0.2:0.3:2",
     )
     assert repeated.returncode == 2
+    # a grid point off unit trace is rejected like any other bad grid
+    off_trace = run_cli(
+        "sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0",
+        "--grid", "a=0.5:0.6:2",
+    )
+    assert off_trace.returncode == 2
+    assert "populations sum deviates" in off_trace.stderr
 
 
 def test_sweep_jobs_do_not_change_output():

@@ -24,8 +24,10 @@ from esdkit import (
     death_time,
     embed_x,
     estimate_asymptote,
+    format_channel_literal,
     jump_operators,
     make_x,
+    max_rate,
     maximally_mixed,
     min_pt_eigenvalue,
     negativity,
@@ -40,6 +42,7 @@ from esdkit import (
 )
 from esdkit.dynamics import DEFAULT_SAMPLES, _SCAN_SAMPLES, _death_reports
 from esdkit.errors import (
+    NegativePopulationError,
     NotPositiveError,
     ParseError,
     StepTooLargeError,
@@ -186,11 +189,12 @@ def test_death_time_persistent_in_decoherence_free_subspace():
 
 def test_death_time_collective_inner_block():
     # w/sqrt(bc) = 1.4, so the entangled block margin hits zero at
-    # t* = ln(1.4) / (2 kappa_c)
+    # t* = ln(1.4) / (2 kappa_c), past the shorter horizon
     x = make_x(0.3, 0.2, 0.2, 0.3, w=0.28)
-    report = death_time(x, CollectiveDephasing(1.0), 10.0)
-    assert report.verdict == VERDICT_FINITE
-    assert abs(report.t_star - 0.5 * np.log(1.4)) < 1e-6
+    for horizon in (10.0, 0.1):
+        report = death_time(x, CollectiveDephasing(1.0), horizon)
+        assert report.verdict == VERDICT_FINITE
+        assert abs(report.t_star - 0.5 * np.log(1.4)) < 1e-6
 
 
 def test_death_time_dephasing_outer_block():
@@ -210,19 +214,22 @@ def test_death_time_knife_edge_boundary_is_asymptotic():
 
 
 def test_death_time_knife_edge_one_ulp_above_boundary():
-    report = death_time(
-        pure_family(np.nextafter(0.5, 1.0)), IndependentDecay(1.0, 1.0, 0.0), 200.0
-    )
-    assert report.verdict == VERDICT_FINITE
+    for horizon in (200.0, 3.0):
+        report = death_time(
+            pure_family(np.nextafter(0.5, 1.0)), IndependentDecay(1.0, 1.0, 0.0), horizon
+        )
+        assert report.verdict == VERDICT_FINITE
 
 
 def test_death_time_long_horizon_matches_short():
+    # horizons before t* bracket it by doubling past the horizon
     x = pure_family(0.7)
     channel = IndependentDecay(1.0, 1.0, 0.0)
-    short = death_time(x, channel, 5.0)
-    long = death_time(x, channel, 400.0)
-    assert short.verdict == long.verdict == VERDICT_FINITE
-    assert abs(short.t_star - long.t_star) < 1e-6
+    expected = -np.log(1.0 - np.sqrt(3.0 / 7.0))
+    for horizon in (1e-13, 0.5, 5.0, 400.0):
+        report = death_time(x, channel, horizon)
+        assert report.verdict == VERDICT_FINITE
+        assert abs(report.t_star - expected) < 1e-6
 
 
 def test_death_time_one_sided_decay_pure_family():
@@ -230,6 +237,40 @@ def test_death_time_one_sided_decay_pure_family():
     # entangled block margin tends to zero without ever crossing it
     report = death_time(pure_family(0.8), IndependentDecay(1.0, 0.0, 0.0), 100.0)
     assert report.verdict == VERDICT_ASYMPTOTIC
+
+
+# every catalog channel kind, with one-sided, asymmetric and thermal decay
+CATALOG_SAMPLE = [
+    IndependentDecay(1.0, 1.0, 0.0),
+    IndependentDecay(1.0, 0.5, 0.0),
+    IndependentDecay(1.0, 0.0, 0.0),
+    IndependentDecay(1.0, 1.0, 0.2),
+    IndependentDephasing(1.0, 0.5),
+    CollectiveDephasing(1.0),
+]
+
+
+@pytest.mark.parametrize("channel", CATALOG_SAMPLE, ids=format_channel_literal)
+def test_death_verdicts_do_not_depend_on_the_horizon(channel):
+    rows = [random_x(seed) for seed in range(100)]
+    rate = max_rate(channel)
+    short = _death_reports(rows, channel, 0.5 / rate)
+    long = _death_reports(rows, channel, 700.0 / rate)
+    for x, s, l in zip(rows, short, long):
+        assert s.verdict == l.verdict, x
+        if s.verdict == VERDICT_FINITE:
+            assert abs(s.t_star - l.t_star) < 1e-8 / rate, x
+
+
+def test_death_time_never_below_threshold_is_persistent():
+    # populations in make_x's tolerance band keep the negativity above
+    # eps_death after the coherences are gone, although the limit margin
+    # is negative; the doubling search must end and call the row persistent
+    x = make_x(0.5 + 5e-10, -5e-10, -5e-10, 0.5 + 5e-10, w=0.3)
+    for channel in (IndependentDephasing(1.0, 1.0), CollectiveDephasing(1.0)):
+        report = death_time(x, channel, 1.0)
+        assert report.verdict == VERDICT_PERSISTENT
+        assert report == death_time_scalar(x, channel, 1.0, DEFAULT_TOL)
 
 
 def test_death_time_thermal_reservoir_kills_all_entanglement():
@@ -348,8 +389,8 @@ def test_batched_death_reports_match_scalar_scan_bit_for_bit():
         outcomes |= {(r.verdict, r.crossings > 0) for r in reports}
         assert [death_time(x, channel, horizon) for x in rows] == reports
     assert {
-        (VERDICT_NEVER, False), (VERDICT_FINITE, True), (VERDICT_PERSISTENT, False),
-        (VERDICT_ASYMPTOTIC, True), (VERDICT_ASYMPTOTIC, False),
+        (VERDICT_NEVER, False), (VERDICT_FINITE, True), (VERDICT_FINITE, False),
+        (VERDICT_PERSISTENT, False), (VERDICT_ASYMPTOTIC, True), (VERDICT_ASYMPTOTIC, False),
     } <= outcomes
 
 
@@ -441,6 +482,11 @@ def test_estimate_asymptote_refusals():
         estimate_asymptote(random_x(0), IndependentDecay(1.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         estimate_asymptote(np.eye(4) / 4.0, CollectiveDephasing(1.0))
+    # bare XStates are validated as make_x would
+    with pytest.raises(NegativePopulationError):
+        estimate_asymptote(XState(1.2, -0.2, 0.0, 0.0, 0.0, 0.0), IndependentDephasing(1.0, 1.0))
+    with pytest.raises(NotPositiveError):
+        estimate_asymptote(UNPHYSICAL_X, IndependentDephasing(1.0, 1.0))
 
 
 # --- serialization ----------------------------------------------------------
