@@ -66,6 +66,7 @@ from .states import (
     SIGMA_Z,
     ToleranceConfig,
     XState,
+    _X_PATTERN,
     _frozen,
     _unchecked_density,
     parse_dense_entries,
@@ -474,10 +475,7 @@ def set_contains(
     if isinstance(aset, SinglePoint):
         return float(np.abs(m - aset.state.matrix).max()) <= atol
     if isinstance(aset, XFamily):
-        pattern = np.zeros((4, 4), dtype=bool)
-        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-            pattern[i, j] = True
-        if float(np.abs(np.where(pattern, 0.0, m)).max()) > atol:
+        if float(np.abs(np.where(_X_PATTERN, 0.0, m)).max()) > atol:
             return False
         if aset.w_zero and abs(m[0, 3]) > atol:
             return False

@@ -71,6 +71,7 @@ from .states import (
     ToleranceConfig,
     XState,
     _unchecked_density,
+    _x_matrices,
     embed_x,
     make_x,
     project_x,
@@ -173,18 +174,6 @@ class DeathReport:
             raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
         if self.crossings < 0:
             raise ValidationError(f"crossings must be nonnegative, got {self.crossings!r}")
-
-
-def _x_matrices(curves: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Stack closed-form curves into an (n, 4, 4) array of X matrices."""
-    a, b, c, d, w, z = curves
-    arr = np.zeros((a.size, 4, 4), dtype=complex)
-    arr[:, 0, 0], arr[:, 1, 1], arr[:, 2, 2], arr[:, 3, 3] = a, b, c, d
-    arr[:, 0, 3] = w
-    arr[:, 3, 0] = np.conj(w)
-    arr[:, 1, 2] = z
-    arr[:, 2, 1] = np.conj(z)
-    return arr
 
 
 def _pt_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,19 +368,24 @@ def _bisect_deaths(
     """Refine alive-to-dead brackets ``[lo, hi]``, one per entry of ``cols``.
 
     All brackets are halved together; each stops once its own width is at
-    most ``xtol`` (or after 200 halvings) and reports its midpoint.
+    most ``xtol``, or once its midpoint equals an endpoint so that halving
+    can no longer shrink it, and reports its midpoint.
     """
     lo, hi = lo.copy(), hi.copy()
-    for _ in range(200):
-        open_ = np.nonzero(hi - lo > xtol)[0]
-        if open_.size == 0:
-            break
-        mid = 0.5 * (lo[open_] + hi[open_])
-        part = XState(*(col[open_] for col in cols))
-        up = _x_diagnostics(x_closed_curves(part, channel, mid))[0] > eps_death
-        lo[open_] = np.where(up, mid, lo[open_])
-        hi[open_] = np.where(up, hi[open_], mid)
-    return 0.5 * (lo + hi)
+    open_ = np.arange(lo.size)
+    # rate * time may overflow at late midpoints; exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        while True:
+            lo_open, hi_open = lo[open_], hi[open_]
+            mid = 0.5 * (lo_open + hi_open)
+            keep = (hi_open - lo_open > xtol) & (lo_open < mid) & (mid < hi_open)
+            open_, mid = open_[keep], mid[keep]
+            if not open_.size:
+                return 0.5 * (lo + hi)
+            part = XState(*(col[open_] for col in cols))
+            up = _x_diagnostics(x_closed_curves(part, channel, mid))[0] > eps_death
+            lo[open_] = np.where(up, mid, lo_open[keep])
+            hi[open_] = np.where(up, hi_open[keep], mid)
 
 
 def _death_reports(
@@ -442,7 +436,10 @@ def _death_reports(
     for first in range(0, count, step):
         part = slice(first, first + step)
         chunk = XState(*(col[part, None] for col in cols))
-        neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(chunk, channel, times))
+        # rate * time may overflow on a long grid; exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            curves = x_closed_curves(chunk, channel, times)
+        neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
         alive = neg > tol.eps_death
         flips = alive[:, :-1] != alive[:, 1:]
         ever[part] = alive.any(axis=1)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPositiveError
-from .states import DEFAULT_TOL, DensityMatrix, ToleranceConfig, XState
+from .errors import NotPositiveError
+from .states import DEFAULT_TOL, DensityMatrix, ToleranceConfig, XState, _density_stack, _hermitize
 
 __all__ = [
     "LABEL_INTERIOR",
@@ -36,6 +36,8 @@ __all__ = [
 LABEL_INTERIOR = "interior"
 LABEL_BOUNDARY = "boundary"
 LABEL_ENTANGLED = "entangled"
+# label of each code the batched classifier assigns
+_LABELS = np.array([LABEL_INTERIOR, LABEL_BOUNDARY, LABEL_ENTANGLED], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,7 @@ def eigenvalues_hermitian(
     The input is checked against ``eps_psd`` Hermiticity slack and exactly
     symmetrized before diagonalization.
     """
-    m = np.asarray(matrix, dtype=complex)
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > tol.eps_psd:
-        raise NotHermitianError(
-            f"matrix deviates from Hermiticity by {asym:.3e} (> {tol.eps_psd:.1e})"
-        )
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return np.linalg.eigvalsh(_hermitize(np.asarray(matrix, dtype=complex), tol.eps_psd, "matrix"))
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -148,6 +144,24 @@ def x_entangled(x: XState, tol: ToleranceConfig = DEFAULT_TOL) -> XVerdict:
     return XVerdict(False, None, w_margin, z_margin)
 
 
+def _regions(
+    stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int | None = None
+) -> list[RegionLabel]:
+    """Validate (see :func:`~esdkit.states._density_stack`) and locate
+    every state of an (n, 4, 4) stack at once.
+
+    Margins and rank margins are bit for bit those of
+    :func:`eigenvalues_hermitian` member by member.
+    """
+    states, rank_margin = _density_stack(stack, tol, first)
+    # partial transposition permutes entries, so it commutes with the
+    # exact symmetrization of the states
+    margin = np.linalg.eigvalsh(_partial_transpose_many(states))[:, 0]
+    interior = (margin > tol.eps_ent) & (rank_margin > tol.eps_ent)
+    codes = np.where(margin < -tol.eps_ent, 2, np.where(interior, 0, 1))
+    return list(map(RegionLabel, _LABELS[codes].tolist(), margin.tolist(), rank_margin.tolist()))
+
+
 def classify_position(
     rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RegionLabel:
@@ -156,13 +170,7 @@ def classify_position(
     ``entangled`` when the margin is below ``-eps_ent``; ``interior`` when
     both the margin and the state's own minimum eigenvalue exceed
     ``eps_ent`` (a full-rank separable point); ``boundary`` otherwise.
+    This is the batched classifier run on a stack of one, so it rejects
+    the same malformed states (see :func:`_regions`).
     """
-    margin = min_pt_eigenvalue(rho, tol)
-    rank_margin = float(eigenvalues_hermitian(rho.matrix, tol)[0])
-    if margin < -tol.eps_ent:
-        label = LABEL_ENTANGLED
-    elif margin > tol.eps_ent and rank_margin > tol.eps_ent:
-        label = LABEL_INTERIOR
-    else:
-        label = LABEL_BOUNDARY
-    return RegionLabel(label, margin, rank_margin)
+    return _regions(rho.matrix[None], tol)[0]

@@ -78,7 +78,10 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T.copy()
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS, SIGMA_PLUS, IDENTITY_2):
+# the eight entries an X state may occupy: the diagonal and the anti-diagonal
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS, SIGMA_PLUS, IDENTITY_2, _X_PATTERN):
     _m.setflags(write=False)
 
 
@@ -184,18 +187,39 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     matrix = np.asarray(entries, dtype=complex)
     if matrix.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise OutOfRangeError("density matrix has non-finite entries")
-    matrix = _hermitize(matrix, tol.eps_psd, "density matrix")
-    drift = abs(float(matrix.trace().real) - 1.0)
-    if drift > tol.eps_trace:
-        raise TraceNotOneError(f"trace deviates from 1 by {drift:.3e} (> {tol.eps_trace:.1e})")
-    lowest = float(np.linalg.eigvalsh(matrix)[0])
-    if lowest < -tol.eps_psd:
-        raise NotPositiveError(
-            f"minimum eigenvalue {lowest:.3e} below -{tol.eps_psd:.1e}"
-        )
-    return DensityMatrix(_frozen(matrix))
+    return DensityMatrix(_frozen(_density_stack(matrix[None], tol)[0][0]))
+
+
+def _density_stack(
+    stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an (n, 4, 4) stack as :func:`make_density` validates one
+    matrix; return the exactly Hermitian stack and each lowest eigenvalue.
+
+    The first failing matrix raises; with ``first`` given, its message
+    names it as member ``first + position`` (counting from 1).
+    """
+
+    def reject(error, bad: np.ndarray, describe) -> None:
+        i = int(bad.argmax())
+        if bad[i]:
+            where = "" if first is None else f"member {first + i + 1}: "
+            raise error(where + describe(i))
+
+    reject(OutOfRangeError, ~np.isfinite(stack).all(axis=(1, 2)),
+           lambda i: "density matrix has non-finite entries")
+    adjoint = stack.conj().transpose(0, 2, 1)
+    asym = np.abs(stack - adjoint).max(axis=(1, 2))
+    reject(NotHermitianError, asym > tol.eps_psd, lambda i: (
+        f"density matrix deviates from Hermiticity by {asym[i]:.3e} (> {tol.eps_psd:.1e})"))
+    hermitian = 0.5 * (stack + adjoint)
+    drift = np.abs(hermitian.trace(axis1=1, axis2=2).real - 1.0)
+    reject(TraceNotOneError, drift > tol.eps_trace,
+           lambda i: f"trace deviates from 1 by {drift[i]:.3e} (> {tol.eps_trace:.1e})")
+    lowest = np.linalg.eigvalsh(hermitian)[:, 0]
+    reject(NotPositiveError, lowest < -tol.eps_psd,
+           lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol.eps_psd:.1e}")
+    return hermitian, lowest
 
 
 def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
@@ -241,6 +265,37 @@ def embed_x(x: XState) -> DensityMatrix:
     return _unchecked_density(m)
 
 
+def _x_matrices(params: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Stack X parameter arrays ``(a, b, c, d, w, z)`` into an (n, 4, 4)
+    array, each matrix bit for bit the one :func:`embed_x` builds."""
+    a, b, c, d, w, z = params
+    arr = np.zeros((a.size, 4, 4), dtype=complex)
+    arr[:, 0, 0], arr[:, 1, 1], arr[:, 2, 2], arr[:, 3, 3] = a, b, c, d
+    arr[:, 0, 3] = w
+    arr[:, 3, 0] = np.conj(w)
+    arr[:, 1, 2] = z
+    arr[:, 2, 1] = np.conj(z)
+    return arr
+
+
+def _x_stack(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """:func:`_x_matrices` of parameter arrays that pass :func:`make_x`.
+
+    An array test mirroring its checks picks out the suspect members, and
+    :func:`make_x` runs on those in order, so the first failing member
+    raises its error and message.
+    """
+    a, b, c, d, w, z = params
+    pops = np.stack([a, b, c, d])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (np.isfinite(pops).all(axis=0) & (pops >= -tol.eps_psd).all(axis=0)
+              & (np.abs(a + b + c + d - 1.0) <= tol.eps_trace) & np.isfinite(w) & np.isfinite(z)
+              & (np.abs(w) ** 2 <= a * d + tol.eps_psd) & (np.abs(z) ** 2 <= b * c + tol.eps_psd))
+    for i in np.flatnonzero(~ok):
+        make_x(a[i], b[i], c[i], d[i], w[i], z[i], tol=tol)
+    return _x_matrices(params)
+
+
 def project_x(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
     """Extract X-state parameters from a dense matrix.
 
@@ -250,10 +305,7 @@ def project_x(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
     an exactly-X input bit for bit.
     """
     m = rho.matrix
-    mask = np.ones((4, 4), dtype=bool)
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-        mask[i, j] = False
-    stray = np.abs(np.where(mask, m, 0.0))
+    stray = np.abs(np.where(_X_PATTERN, 0.0, m))
     worst = float(stray.max())
     if worst >= tol.eps_psd:
         i, j = np.unravel_index(int(stray.argmax()), (4, 4))
@@ -397,8 +449,10 @@ def _format_float(value: float) -> str:
 
 def format_dense_entries(matrix: np.ndarray) -> str:
     """Row-major ``re:im`` pairs joined by commas (no prefix)."""
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return ",".join(f"{_format_float(v.real)}:{_format_float(v.imag)}" for v in flat)
+    # real and imaginary parts alternate in the float view
+    flat = np.ascontiguousarray(matrix, dtype=complex).reshape(-1).view(float)
+    parts = list(map(repr, flat.tolist()))
+    return ",".join(map(":".join, zip(parts[::2], parts[1::2])))
 
 
 def parse_dense_entries(text: str) -> np.ndarray:

@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 
-from esdkit.channels import CollectiveDephasing, max_rate, x_closed_curves
+from esdkit.channels import (
+    CollectiveDephasing,
+    SinglePoint,
+    XFamily,
+    max_rate,
+    x_closed_curves,
+)
+from esdkit.classify import _PROBE_POPULATIONS, _coherence_extremes
 from esdkit.dynamics import (
     DEFAULT_SAMPLES,
     VERDICT_ASYMPTOTIC,
@@ -21,6 +28,9 @@ from esdkit.dynamics import (
     _limit_margin,
     _x_diagnostics,
 )
+from esdkit.entanglement import eigenvalues_hermitian, partial_transpose
+from esdkit.errors import NotXFormError
+from esdkit.states import embed_x, format_state_literal, make_x, project_x
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -138,10 +148,10 @@ def _x_negativity_at(x0, channel, times):
 def _bisect_threshold(margin, lo, hi, xtol):
     """Locate a sign change of ``margin`` inside [lo, hi] to width ``xtol``."""
     sign_lo = margin(lo) > 0.0
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: halving cannot shrink the bracket
         if (margin(mid) > 0.0) == sign_lo:
             lo = mid
         else:
@@ -160,7 +170,9 @@ def death_time_scalar(x0, channel, horizon, tol, dt=None):
         dt = horizon / DEFAULT_SAMPLES
     n = max(1, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n + 1)
-    neg, _, _, outer_pt, inner_pt = _x_diagnostics(x_closed_curves(x0, channel, times))
+    with np.errstate(over="ignore"):
+        curves = x_closed_curves(x0, channel, times)
+    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
     alive = neg > tol.eps_death
     flips = np.nonzero(alive[:-1] != alive[1:])[0]
 
@@ -188,3 +200,66 @@ def death_time_scalar(x0, channel, horizon, tol, dt=None):
     else:
         lo, hi = float(times[flips[-1]]), float(times[flips[-1] + 1])
     return report(VERDICT_FINITE, _bisect_threshold(margin, lo, hi, 1e-9 / max_rate(channel)))
+
+
+def family_members_scalar(family, n_samples, seed):
+    """X-family members one at a time: the probe members, then seeded
+    draws, each through make_x and embed_x."""
+    members = []
+    for a, b, c, d in _PROBE_POPULATIONS:
+        for w in _coherence_extremes(float(np.sqrt(a * d)), family.w_zero):
+            for z in _coherence_extremes(float(np.sqrt(b * c)), family.z_zero):
+                members.append(make_x(a, b, c, d, w, z))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        a, b, c, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+        w = z = 0.0 + 0.0j
+        if not family.w_zero:
+            w = rng.uniform() * np.sqrt(a * d) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        if not family.z_zero:
+            z = rng.uniform() * np.sqrt(b * c) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        members.append(make_x(a, b, c, d, w, z))
+    return [embed_x(x) for x in members]
+
+
+def classify_set_scalar(aset, tol, n_samples=100, seed=0):
+    """The per-member classifier loop: two eigenvalues_hermitian calls
+    per member, and its literal through project_x, or the dense form when
+    project_x refuses it.
+
+    Returns ``(family, case, rows)`` with one ``(literal, label, margin,
+    rank_margin)`` row per member.
+    """
+    if isinstance(aset, XFamily):
+        members = family_members_scalar(aset, n_samples, seed)
+    elif isinstance(aset, SinglePoint):
+        members = [aset.state]
+    else:
+        members = list(aset.states)
+    rows = []
+    entangled_seen = separable_seen = boundary_seen = False
+    for rho in members:
+        margin = float(eigenvalues_hermitian(partial_transpose(rho), tol)[0])
+        rank_margin = float(eigenvalues_hermitian(rho.matrix, tol)[0])
+        if margin < -tol.eps_ent:
+            label = "entangled"
+            entangled_seen = True
+        else:
+            label = "interior" if margin > tol.eps_ent and rank_margin > tol.eps_ent else "boundary"
+            separable_seen = True
+            boundary_seen = boundary_seen or label == "boundary"
+        try:
+            literal = format_state_literal(project_x(rho))
+        except NotXFormError:
+            literal = format_state_literal(rho)
+        rows.append((literal, label, margin, rank_margin))
+    if entangled_seen and separable_seen:
+        case = "iv"
+    elif entangled_seen:
+        case = "iii"
+    elif boundary_seen:
+        case = "ii"
+    else:
+        case = "i"
+    family = "one" if isinstance(aset, SinglePoint) or len(members) == 1 else "multi"
+    return family, case, rows

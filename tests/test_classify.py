@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from _oracles import classify_set_scalar
 from esdkit import (
     CASES,
+    DEFAULT_TOL,
     CollectiveDephasing,
     CustomChannel,
+    DensityMatrix,
     Evidence,
     ExplicitSamples,
     FAMILY_MULTI,
@@ -22,19 +25,27 @@ from esdkit import (
     XFamily,
     bell,
     classify_channel,
+    classify_position,
     classify_set,
     embed_x,
+    make_density,
     maximally_mixed,
+    random_density,
+    random_x,
     sample_asymptotic,
     scenario_from_json,
     scenario_to_json,
     thermal_product,
     werner,
 )
+from esdkit.classify import _CLASSIFY_MEMBERS
 from esdkit.errors import (
     EmptySetError,
+    NotHermitianError,
+    NotPositiveError,
     OutOfRangeError,
     ParseError,
+    TraceNotOneError,
     UnsupportedChannelError,
     ValidationError,
 )
@@ -194,6 +205,116 @@ def test_case_consistency_with_evidence():
             assert labels == {LABEL_ENTANGLED}
         else:
             assert LABEL_ENTANGLED in labels and labels != {LABEL_ENTANGLED}
+
+
+# --- the batched pass against the per-member loop ---------------------------
+
+def assert_matches_scalar_loop(aset, n_samples=100, seed=0):
+    label = classify_set(aset, n_samples=n_samples, seed=seed)
+    family, case, rows = classify_set_scalar(aset, DEFAULT_TOL, n_samples, seed)
+    assert (label.family, label.case) == (family, case)
+    got = [
+        (ev.state, ev.region.label, ev.region.margin, ev.region.rank_margin)
+        for ev in label.evidence
+    ]
+    assert got == rows
+    return label
+
+
+@pytest.mark.parametrize(
+    "w_zero, z_zero", [(True, True), (True, False), (False, False)],
+    ids=["dephasing", "collective", "both-free"],
+)
+def test_family_classification_matches_scalar_loop_bit_for_bit(w_zero, z_zero):
+    family = XFamily(w_zero=w_zero, z_zero=z_zero)
+    for seed in (0, 1, 7):
+        for n in (0, 1, 1000):
+            assert_matches_scalar_loop(family, n, seed)
+    # several chunks of random members, the last one partial
+    assert_matches_scalar_loop(family, 2 * _CLASSIFY_MEMBERS + 5, 3)
+
+
+def test_thermal_points_match_scalar_loop_bit_for_bit():
+    for nbar in (0.0, 0.5):
+        assert_matches_scalar_loop(SinglePoint(thermal_product(nbar)))
+
+
+def stray_member(size):
+    """A valid X state with one Hermitian pair of entries outside the
+    X pattern, of magnitude ``size``."""
+    m = embed_x(random_x(3)).matrix.copy()
+    m[0, 1] = m[1, 0] = size
+    return make_density(m)
+
+
+MIXED_MEMBERS = (
+    maximally_mixed(),
+    embed_x(bell("psi-")),
+    embed_x(werner(0.3)),
+    random_density(1),
+    embed_x(random_x(2)),
+    stray_member(0.9 * DEFAULT_TOL.eps_psd),  # formats as x:
+    stray_member(1.1 * DEFAULT_TOL.eps_psd),  # formats as dense:
+    random_density(4),
+)
+
+
+def test_mixed_members_match_scalar_loop_bit_for_bit():
+    label = assert_matches_scalar_loop(ExplicitSamples(MIXED_MEMBERS))
+    kinds = [ev.state.split(":")[0] for ev in label.evidence]
+    assert kinds == ["x", "x", "x", "dense", "x", "x", "dense", "dense"]
+    one = assert_matches_scalar_loop(ExplicitSamples((random_density(5),)))
+    assert one.family == FAMILY_ONE
+
+
+def test_classify_position_is_the_batch_of_one():
+    label = classify_set(ExplicitSamples(MIXED_MEMBERS))
+    for rho, ev in zip(MIXED_MEMBERS, label.evidence):
+        assert classify_position(rho) == ev.region
+        assert classify_set(ExplicitSamples((rho,))).evidence[0] == ev
+
+
+# --- malformed members -----------------------------------------------------
+
+def _nan_diagonal():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 0] = np.nan
+    return m
+
+
+def _inf_entry():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = m[1, 0] = np.inf
+    return m
+
+
+HOSTILE_MEMBERS = {
+    "nan-diagonal": (_nan_diagonal(), OutOfRangeError),
+    "inf-entry": (_inf_entry(), OutOfRangeError),
+    "all-nan": (np.full((4, 4), np.nan, dtype=complex), OutOfRangeError),
+    "trace-two": (np.eye(4, dtype=complex) / 2.0, TraceNotOneError),
+    "not-hermitian": (np.eye(4, dtype=complex) / 4.0 + np.triu(np.ones((4, 4)), 1) * 1e-3,
+                      NotHermitianError),
+    "not-positive": (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), NotPositiveError),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_MEMBERS))
+def test_hostile_member_fails_loudly(name):
+    matrix, error = HOSTILE_MEMBERS[name]
+    hostile = DensityMatrix(matrix)
+    with pytest.raises(error, match="^member 2: "):
+        classify_set(ExplicitSamples((maximally_mixed(), hostile)))
+    with pytest.raises(error):
+        classify_position(hostile)
+
+
+def test_hostile_member_in_a_later_chunk_is_named():
+    members = (maximally_mixed(),) * (_CLASSIFY_MEMBERS + 1) + (
+        DensityMatrix(np.eye(4, dtype=complex) / 2.0),
+    )
+    with pytest.raises(TraceNotOneError, match=f"^member {_CLASSIFY_MEMBERS + 2}: "):
+        classify_set(ExplicitSamples(members))
 
 
 # --- refusals and validation ------------------------------------------------

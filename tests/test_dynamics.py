@@ -232,6 +232,20 @@ def test_death_time_long_horizon_matches_short():
         assert abs(report.t_star - expected) < 1e-6
 
 
+def test_death_time_huge_horizon_bisects_to_the_crossing():
+    # a first grid bracket of width ~5e296 needs about 1050 halvings to
+    # reach 1e-9 / rate; the bisection must not stop short, and
+    # rate * time overflowing to exp(-inf) = 0 must raise no warning
+    x = pure_family(0.7)
+    channel = IndependentDecay(1e10, 1e10, 0.0)
+    rate = max_rate(channel)
+    short = death_time(x, channel, 1e-9)
+    huge = death_time(x, channel, 1e300)
+    assert short.verdict == huge.verdict == VERDICT_FINITE
+    assert abs(huge.t_star - short.t_star) < 1e-8 / rate
+    assert huge == death_time_scalar(x, channel, 1e300, DEFAULT_TOL)
+
+
 def test_death_time_one_sided_decay_pure_family():
     # with gamma_b = 0 the singly excited populations obey b(t) = 0, so the
     # entangled block margin tends to zero without ever crossing it

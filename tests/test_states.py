@@ -37,6 +37,7 @@ from esdkit.errors import (
     TraceNotOneError,
     ValidationError,
 )
+from esdkit.states import _x_stack
 
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -109,6 +110,35 @@ def test_make_x_validation():
         make_x(0.5, 0.0, 0.0, 0.5, w=complex(0.0, float("nan")))
     with pytest.raises(OutOfRangeError):
         make_x(0.5, 0.0, 0.0, 0.5, z=float("inf"))
+
+
+def _x_params(rows):
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def test_x_stack_matches_embed_x_bit_for_bit():
+    xs = [random_x(seed) for seed in range(50)] + [bell("phi-"), werner(0.2)]
+    stack = _x_stack(_x_params((x.a, x.b, x.c, x.d, x.w, x.z) for x in xs))
+    for x, m in zip(xs, stack):
+        assert m.tobytes() == embed_x(x).matrix.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((-0.1, 0.4, 0.4, 0.3, 0.0, 0.0), NegativePopulationError),
+    ((0.3, 0.3, 0.3, 0.3, 0.0, 0.0), TraceNotOneError),
+    ((0.5, 0.0, 0.0, 0.5, 0.51, 0.0), NotPositiveError),
+    ((0.25, 0.25, 0.25, 0.25, 0.0, 0.26), NotPositiveError),
+    ((float("nan"), 0.0, 0.0, 1.0, 0.0, 0.0), OutOfRangeError),
+    ((0.5, 0.0, 0.0, 0.5, complex(0.0, float("inf")), 0.0), OutOfRangeError),
+])
+def test_x_stack_raises_make_x_error_for_first_failing_member(bad, error):
+    good = (0.25, 0.25, 0.25, 0.25, 0.1, 0.0)
+    later = (0.5, 0.5, 0.5, 0.5, 0.0, 0.0)  # fails too, but later
+    with pytest.raises(error) as want:
+        make_x(*bad)
+    with pytest.raises(error) as got:
+        _x_stack(_x_params([good, bad, good, later]))
+    assert str(got.value) == str(want.value)
 
 
 def test_embed_project_round_trip():
