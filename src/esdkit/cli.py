@@ -4,10 +4,10 @@ Subcommands ``evolve``, ``death-time``, ``classify`` and ``sweep`` parse
 state/channel literals, run the corresponding library operations and emit
 CSV or JSON to stdout or ``--out``.  Values resolve as flags over
 config-file entries over built-in defaults; outputs are byte-identical
-for identical configs and seeds.  ``sweep`` scans all grid rows in one
-batched death-time pass in this process; ``--jobs`` is still accepted and
-validated for compatibility but has no effect.  Exit codes: 0 ok, 2 usage
-or parse error (including non-finite numbers), 3 runtime error.
+for identical configs and seeds.  ``sweep`` decides all grid rows in one
+batched pass; ``--jobs`` is validated but has no effect, and ``--dt``,
+``evolve``'s step, is validated and ignored elsewhere.  Exit codes: 0 ok,
+2 usage or parse error (including non-finite numbers), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--channel", help="channel literal (decay:/dephase:/collective:/custom:)")
         cmd.add_argument("--state", help="state literal (x: or dense:)")
         cmd.add_argument("--horizon", type=float, help="observation time span")
-        cmd.add_argument("--dt", type=float, help="integration / sampling step")
+        cmd.add_argument("--dt", type=float, help="evolve's step; other subcommands ignore it")
         cmd.add_argument("--seed", type=int, help="seed for sampled classification members")
         cmd.add_argument("--eps-death", type=float, help="negativity death threshold")
         cmd.add_argument("--out", help="output path (default: stdout)")
@@ -269,7 +269,7 @@ def cmd_death_time(config: RunConfig) -> int:
     horizon = config.horizon
     if horizon is None:
         horizon = 50.0 / max_rate(channel)
-    report = death_time(x0, channel, horizon, tol=config.tol, dt=config.dt)
+    report = death_time(x0, channel, horizon, tol=config.tol)
     _emit(death_report_to_json(report), config.out)
     return 0
 
@@ -357,7 +357,7 @@ def cmd_sweep(config: RunConfig) -> int:
         horizon = 50.0 / max_rate(channel)
     combos = list(itertools.product(*(axis for _, axis in config.grids)))
     rows = [_sweep_state(config, names, tuple(float(v) for v in values)) for values in combos]
-    reports = _death_reports(rows, channel, horizon, config.tol, config.dt)
+    reports = _death_reports(rows, channel, horizon, config.tol)
     lines = [",".join(names) + ",verdict,t_star,crossings"]
     for values, report in zip(combos, reports):
         cells = [repr(float(v)) for v in values]

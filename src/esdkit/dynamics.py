@@ -26,11 +26,12 @@ Verdict vocabulary: ``"finite"`` (the negativity reaches ``eps_death`` at
 positive but draining toward 0), ``"persistent"`` (negativity bounded
 away from 0) and ``"never_entangled"``.
 
-One kernel, ``_death_reports``, scans any number of X states that share a
-channel, horizon and grid: the closed forms run on chunks of rows at once
-and the crossings behind all ``"finite"`` verdicts are refined in one
-vectorised bisection.  :func:`death_time` is that kernel on a single row,
-and CLI sweeps call it once for the whole grid.
+Every catalog channel mixes local maps that form a semigroup, and
+negativity cannot grow under local maps, so a state is entangled exactly
+on ``[0, t*)``.  One kernel, ``_death_reports``, decides X states sharing
+a channel and horizon from their negativity at 0 and at the horizon, and
+refines all crossings in one vectorised bisection; :func:`death_time`
+runs it on one row, CLI sweeps on a whole grid.
 """
 
 from __future__ import annotations
@@ -101,11 +102,8 @@ VERDICT_PERSISTENT = "persistent"
 VERDICT_NEVER = "never_entangled"
 _VERDICTS = (VERDICT_FINITE, VERDICT_ASYMPTOTIC, VERDICT_PERSISTENT, VERDICT_NEVER)
 
-# default number of retained samples per trajectory / death-time grid
+# default number of retained samples per trajectory
 DEFAULT_SAMPLES = 2000
-
-# grid samples per chunk of rows in a batched death-time scan (bounds memory)
-_SCAN_SAMPLES = 8192
 
 CSV_HEADER = "t,negativity,min_pt_eig,min_eig,a,b,c,d,abs_w,abs_z"
 
@@ -156,7 +154,8 @@ class DeathReport:
 
     For catalog channels the verdict does not depend on the horizon, and a
     ``"finite"`` verdict's ``t_star`` may lie past it; ``crossings``
-    counts the threshold crossings seen on the grid up to the horizon.
+    counts the threshold crossings up to the horizon, 0 or 1 because
+    negativity never grows under a catalog channel.
     """
 
     verdict: str
@@ -170,10 +169,13 @@ class DeathReport:
             raise ValidationError(f"unknown verdict {self.verdict!r}")
         if (self.t_star is not None) != (self.verdict == VERDICT_FINITE):
             raise ValidationError("t_star must be present exactly for finite verdicts")
-        if self.horizon <= 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
+        _require_positive("horizon", self.horizon)
+        if self.t_star is not None and not 0.0 <= self.t_star < math.inf:
+            raise ValidationError(f"t_star must be finite and >= 0, got {self.t_star!r}")
         if self.crossings < 0:
             raise ValidationError(f"crossings must be nonnegative, got {self.crossings!r}")
+        if not 0.0 < self.eps_death <= 1e-2:
+            raise ValidationError(f"eps_death must lie in (0, 1e-2], got {self.eps_death!r}")
 
 
 def _pt_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,24 +395,20 @@ def _death_reports(
     channel: ChannelSpec,
     horizon: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    dt: float | None = None,
 ) -> list[DeathReport]:
-    """Death-time reports for valid X states sharing a channel and grid.
+    """Death-time reports for valid X states sharing a channel and horizon.
 
-    The rows' parameters become ``(R, 1)`` columns that broadcast against
-    the shared time grid; the scan runs on chunks of about
-    ``_SCAN_SAMPLES`` grid samples and keeps a few numbers per row, never
-    a full (rows, samples) array.  The verdict of every entangled row is
-    the sign of the limit margin of the block that carried its
-    entanglement (see the module docstring).  A row that dies is
-    bracketed by its last grid crossing, or, if it is still alive at the
-    horizon ``H``, by ``[H 2^(k-1), H 2^k]`` for the first ``k`` at which
-    the closed-form negativity is at most ``eps_death``; all brackets are
-    refined in one vectorised bisection.  The catalog block margins are
-    monotone, so an earlier crossing is threshold flicker whose time is
-    never reported.  A row whose negativity stays above ``eps_death`` at
-    every representable time (possible only through roundoff at the
-    separable boundary or populations in the tolerance band of
+    The closed-form negativity of all rows at 0 and at the horizon ``H``
+    is one ``(rows, 2)`` batch, and monotonicity (module docstring; it
+    needs the catalog channel checked first) makes it enough: a row is
+    entangled iff alive at 0, in the PT block negative at 0, and crosses
+    ``eps_death`` once iff it is dead at ``H``.  A row that dies by its
+    block's limit-margin verdict is bracketed by ``[0, H]``, or, if alive
+    at ``H``, by ``[H 2^(k-1), H 2^k]`` for the first ``k`` at which its
+    negativity is at most ``eps_death``; one vectorised bisection refines
+    all brackets.  A row whose negativity stays above ``eps_death`` at
+    every representable time (only through roundoff at the separable
+    boundary or populations in the tolerance band of
     :func:`~esdkit.states.make_x`) is ``"persistent"``.
     """
     if not is_catalog(channel):
@@ -418,49 +416,27 @@ def _death_reports(
             "death_time requires a catalog channel with closed-form dynamics"
         )
     _require_positive("horizon", horizon)
-    if dt is None:
-        dt = horizon / DEFAULT_SAMPLES
-    if not 0.0 < dt <= horizon:
-        raise ValidationError(f"dt={dt!r} must satisfy 0 < dt <= horizon")
 
-    n = max(1, int(round(horizon / dt)))
-    times = np.linspace(0.0, horizon, n + 1)
-    cols = [np.array(f) for f in zip(*((x.a, x.b, x.c, x.d, x.w, x.z) for x in rows))]
+    cols = [np.array([getattr(x, f) for x in rows]) for f in "abcdwz"]
     count = len(rows)
-    ever = np.empty(count, dtype=bool)
-    alive_end = np.empty(count, dtype=bool)
-    inner_peak = np.empty(count, dtype=bool)
-    crossings = np.empty(count, dtype=int)
-    last_flip = np.empty(count, dtype=int)
-    step = max(1, _SCAN_SAMPLES // (n + 1))
-    for first in range(0, count, step):
-        part = slice(first, first + step)
-        chunk = XState(*(col[part, None] for col in cols))
-        # rate * time may overflow on a long grid; exp(-inf) = 0 is right
-        with np.errstate(over="ignore"):
-            curves = x_closed_curves(chunk, channel, times)
-        neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
-        alive = neg > tol.eps_death
-        flips = alive[:, :-1] != alive[:, 1:]
-        ever[part] = alive.any(axis=1)
-        alive_end[part] = alive[:, -1]
-        crossings[part] = flips.sum(axis=1)
-        last_flip[part] = n - 1 - np.argmax(flips[:, ::-1], axis=1)
-        # the block that carried the entanglement (at most one block ever does)
-        peak = np.argmax(neg, axis=1)[:, None]
-        inner_peak[part] = (
-            np.take_along_axis(inner_pt, peak, 1) < np.take_along_axis(outer_pt, peak, 1)
-        )[:, 0]
+    # rate * horizon may overflow; exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        curves = x_closed_curves(XState(*(col[:, None] for col in cols)), channel,
+                                 np.array([0.0, horizon]))
+    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
+    alive = neg > tol.eps_death
+    ever, alive_end = alive[:, 0], alive[:, 1]
+    crossings = ever & ~alive_end
+    # the block that carries the entanglement (at most one block ever does)
+    inner_block = inner_pt[:, 0] < outer_pt[:, 0]
 
     finite = np.zeros(count, dtype=bool)
     for i in np.nonzero(ever)[0]:
-        finite[i] = _limit_margin(rows[i], channel, bool(inner_peak[i])) < 0.0
+        finite[i] = _limit_margin(rows[i], channel, bool(inner_block[i])) < 0.0
     # the z-block margin under collective dephasing is constant
-    persistent = ever & ~finite & ~inner_peak & isinstance(channel, CollectiveDephasing)
+    persistent = ever & ~finite & ~inner_block & isinstance(channel, CollectiveDephasing)
 
-    lo, hi = np.empty(count), np.empty(count)
-    dead = np.nonzero(finite & ~alive_end)[0]
-    lo[dead], hi[dead] = times[last_flip[dead]], times[last_flip[dead] + 1]
+    lo, hi = np.zeros(count), np.full(count, horizon)
     # rows alive at the horizon: double the time until they are dead
     late = np.nonzero(finite & alive_end)[0]
     reach = horizon
@@ -483,19 +459,14 @@ def _death_reports(
         1e-9 / max_rate(channel), tol.eps_death,
     )
 
-    reports = []
-    for i in range(count):
-        t = None
-        if not ever[i]:
-            verdict = VERDICT_NEVER
-        elif finite[i]:
-            verdict, t = VERDICT_FINITE, float(t_star[i])
-        elif persistent[i]:
-            verdict = VERDICT_PERSISTENT
-        else:
-            verdict = VERDICT_ASYMPTOTIC
-        reports.append(DeathReport(verdict, t, horizon, int(crossings[i]), tol.eps_death))
-    return reports
+    verdicts = np.select(
+        [~ever, finite, persistent],
+        [VERDICT_NEVER, VERDICT_FINITE, VERDICT_PERSISTENT], VERDICT_ASYMPTOTIC,
+    )
+    return [
+        DeathReport(str(v), float(t) if f else None, horizon, int(n), tol.eps_death)
+        for v, f, t, n in zip(verdicts.tolist(), finite, t_star.tolist(), crossings)
+    ]
 
 
 def death_time(
@@ -503,34 +474,32 @@ def death_time(
     channel: ChannelSpec,
     horizon: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    dt: float | None = None,
 ) -> DeathReport:
-    """Scan, bracket and refine the loss of entanglement of ``x0``.
+    """Decide, bracket and refine the loss of entanglement of ``x0``.
 
-    Negativity is sampled on a uniform grid (``dt`` defaults to
-    ``horizon / DEFAULT_SAMPLES``); the crossing that reports ``t_star`` is
-    refined by bisection to ``delta_t = 1e-9 / max_rate(channel)``.  The
-    verdict follows the module docstring and does not depend on the
-    horizon; a state still entangled at the horizon that dies later gets a
-    ``t_star`` past it.  Revivals narrower than the grid are invisible by
-    construction and the report carries the horizon used.
-    ``x0`` is validated as :func:`~esdkit.states.make_x` would.  This is
-    the batched kernel that CLI sweeps use, run on a single row.
+    Negativity cannot grow under the catalog's local semigroups, so ``x0``
+    is entangled exactly on ``[0, t*)``, and its closed-form negativity at
+    0 and at the horizon locates the one crossing, which bisection refines
+    to ``delta_t = 1e-9 / max_rate(channel)``.  The verdict follows the
+    module docstring and does not depend on the horizon; a state that
+    dies after the horizon gets a ``t_star`` past it.  ``x0`` is validated
+    as :func:`~esdkit.states.make_x` would.  This is the batched kernel
+    that CLI sweeps use, run on a single row.
     """
     if not isinstance(x0, XState):
         raise ValidationError(
             f"death_time requires an XState, got {type(x0).__name__}"
         )
     x0 = make_x(x0.a, x0.b, x0.c, x0.d, x0.w, x0.z, tol=tol)
-    return _death_reports([x0], channel, horizon, tol, dt)[0]
+    return _death_reports([x0], channel, horizon, tol)[0]
 
 
 def crossing_count(traj: Trajectory, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of sign changes of ``negativity - eps_death`` between samples.
 
     Operates on the sampled diagnostics as stored; crossings narrower than
-    the sampling grid are not observable here (death_time refines its own
-    crossings against the exact flow).
+    the sampling grid are not observable here (death_time locates its one
+    crossing against the exact flow, without a grid).
     """
     alive = np.asarray(traj.negativity) > tol.eps_death
     return int(np.count_nonzero(alive[:-1] != alive[1:]))
@@ -629,9 +598,12 @@ def parse_trajectory_csv(text: str) -> dict[str, np.ndarray | None]:
             if cell == "":
                 continue
             try:
-                columns[name].append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(f"row {row_no}, column {name}: bad float {cell!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"row {row_no}, column {name}: non-finite value {cell!r}")
+            columns[name].append(value)
     out: dict[str, np.ndarray | None] = {}
     for name in names:
         if name in ("a", "b", "c", "d") and not has_pops:
@@ -660,11 +632,13 @@ def death_report_from_json(text: str) -> DeathReport:
     required = {"verdict", "t_star", "horizon", "crossings", "epsilon_death"}
     if not isinstance(payload, dict) or not required.issubset(payload):
         raise ParseError(f"death report JSON must contain fields {sorted(required)}")
-    t_star = payload["t_star"]
+    t_star, crossings = payload["t_star"], payload["crossings"]
+    if isinstance(crossings, bool) or not isinstance(crossings, int):
+        raise ParseError(f"death report crossings must be an integer, got {crossings!r}")
     return DeathReport(
         str(payload["verdict"]),
         None if t_star is None else float(t_star),
         float(payload["horizon"]),
-        int(payload["crossings"]),
+        crossings,
         float(payload["epsilon_death"]),
     )

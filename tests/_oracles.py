@@ -159,17 +159,52 @@ def _bisect_threshold(margin, lo, hi, xtol):
     return 0.5 * (lo + hi)
 
 
-def death_time_scalar(x0, channel, horizon, tol, dt=None):
-    """One-row death-time scan: the grid, the limit-margin verdict, a
-    doubling bracket past the horizon and a scalar bisection, one state
-    at a time.
+def death_time_scalar(x0, channel, horizon, tol):
+    """One-row death-time decision from negativity monotonicity: the
+    negativity at 0 and at the horizon, the limit-margin verdict, a
+    doubling bracket past the horizon and a scalar bisection.
 
     It reuses the library's closed forms and block margins.
     """
-    if dt is None:
-        dt = horizon / DEFAULT_SAMPLES
-    n = max(1, int(round(horizon / dt)))
-    times = np.linspace(0.0, horizon, n + 1)
+    with np.errstate(over="ignore"):
+        curves = x_closed_curves(x0, channel, np.array([0.0, horizon]))
+    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
+    alive_start, alive_end = bool(neg[0] > tol.eps_death), bool(neg[1] > tol.eps_death)
+
+    def report(verdict, t_star=None):
+        crossings = int(alive_start and not alive_end)
+        return DeathReport(verdict, t_star, horizon, crossings, tol.eps_death)
+
+    def margin(t):
+        with np.errstate(over="ignore"):
+            return float(_x_negativity_at(x0, channel, np.array([t]))[0]) - tol.eps_death
+
+    if not alive_start:
+        return report(VERDICT_NEVER)
+    was_inner = bool(inner_pt[0] < outer_pt[0])
+    if _limit_margin(x0, channel, was_inner) >= 0.0:
+        undamped = isinstance(channel, CollectiveDephasing) and not was_inner
+        return report(VERDICT_PERSISTENT if undamped else VERDICT_ASYMPTOTIC)
+    lo, hi = 0.0, horizon
+    if alive_end:
+        lo = horizon
+        while math.isfinite(2.0 * lo) and margin(2.0 * lo) > 0.0:
+            lo *= 2.0
+        hi = 2.0 * lo
+        if not math.isfinite(hi):
+            return report(VERDICT_PERSISTENT)
+    return report(VERDICT_FINITE, _bisect_threshold(margin, lo, hi, 1e-9 / max_rate(channel)))
+
+
+def death_time_grid_scalar(x0, channel, horizon, tol):
+    """One-row death-time scan on a uniform grid of ``DEFAULT_SAMPLES``
+    steps: the last grid crossing, the limit-margin verdict of the block
+    at the negativity peak, a doubling bracket past the horizon and a
+    scalar bisection.
+
+    It assumes nothing about monotonicity and counts every grid crossing.
+    """
+    times = np.linspace(0.0, horizon, DEFAULT_SAMPLES + 1)
     with np.errstate(over="ignore"):
         curves = x_closed_curves(x0, channel, times)
     neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)

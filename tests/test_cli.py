@@ -244,6 +244,12 @@ def test_sweep_jobs_do_not_change_output():
     parallel = run_cli(*args, "--jobs", "4")
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+    # death-time decisions use no grid, so --dt is validated but ignored
+    death_args = ("death-time", "--channel", "decay:1,0.5,0.2", "--state", PURE_07)
+    for command in (args, death_args):
+        runs = [run_cli(*command, *dt) for dt in ((), ("--dt", "0.5"), ("--dt", "1e-4"))]
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
 
 # --- config files and precedence --------------------------------------------
@@ -311,11 +317,12 @@ def dense_literal_with(first_entry: str) -> str:
     ("classify", "--channel", "collective:nan"),
     ("death-time", "--channel", "decay:inf,1,0", "--state", PURE_07),
     ("death-time", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "nan"),
+    ("death-time", "--channel", "decay:1,1,0", "--state", PURE_07, "--dt", "nan"),
     ("evolve", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "inf"),
     ("sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0",
      "--grid", "w=nan:0.1:2"),
 ], ids=["x-state", "dense-state", "decay-rate", "collective-rate", "infinite-rate",
-        "nan-horizon", "infinite-horizon", "grid-bound"])
+        "nan-horizon", "nan-dt", "infinite-horizon", "grid-bound"])
 def test_non_finite_inputs_exit_2(args):
     result = run_cli(*args)
     assert result.returncode == 2, (result.returncode, result.stderr)
