@@ -252,13 +252,12 @@ def _rk4_map(lv: np.ndarray, h: float) -> np.ndarray:
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-def _split_steps(t: float, dt: float) -> tuple[int, float]:
-    """Full-step count and remainder, robust to t/dt roundoff."""
-    n_full = int(np.floor(t / dt * (1.0 + 1e-12)))
-    rem = t - n_full * dt
-    if rem < dt * 1e-9:
-        rem = 0.0
-    return n_full, rem
+def _step_plan(t: float, dt: float) -> tuple[int, float]:
+    """Steps from 0 to ``t``: ``n`` steps, the last of length
+    ``min(dt, t - (n - 1) dt)``, with ``n = ceil(t / dt)`` robust to
+    roundoff in ``t / dt``."""
+    n_steps = max(1, int(np.ceil(t / dt * (1.0 - 1e-12))))
+    return n_steps, min(dt, t - (n_steps - 1) * dt)
 
 
 def _revalidate(
@@ -307,13 +306,15 @@ def propagate_numeric(
     """Integrate the master equation to time ``t`` with fixed-step RK4.
 
     ``dt`` defaults to ``1e-3 / max_rate(channel)``.  The trajectory takes
-    ``floor(t / dt)`` full steps plus one shorter remainder step, hitting
-    ``t`` exactly.  The steps are applied as powers of the one-step RK4
-    matrix ``P(dt)`` (binary powering, O(log(t / dt)) matrix products),
-    which gives the same result as stepping up to roundoff.  Output is
-    re-validated: the trace is renormalized when within ``eps_trace`` of 1
-    and positivity is required within ``eps_psd``; a failed check, or an
-    overflow to non-finite entries, raises :class:`StepTooLargeError`.
+    ``ceil(t / dt)`` steps, the last one shortened to end at ``t``: the
+    step rule of :func:`~esdkit.dynamics.simulate`, whose last sample this
+    matches up to roundoff.  The steps are applied as powers of the
+    one-step RK4 matrix ``P(dt)`` (binary powering, O(log(t / dt)) matrix
+    products), which gives the same result as stepping up to roundoff.
+    Output is re-validated: the trace is renormalized when within
+    ``eps_trace`` of 1 and positivity is required within ``eps_psd``; a
+    failed check, or an overflow to non-finite entries, raises
+    :class:`StepTooLargeError`.
     """
     if t < 0.0:
         raise ValidationError(f"propagation time t={t!r} must be nonnegative")
@@ -324,12 +325,12 @@ def propagate_numeric(
     if not 0.0 < dt <= t:
         raise ValidationError(f"step dt={dt!r} must satisfy 0 < dt <= t={t!r}")
     lv = liouvillian(channel)
-    n_full, rem = _split_steps(t, dt)
+    n_steps, h_last = _step_plan(t, dt)
     # a step too large for RK4 can overflow; _revalidate reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.linalg.matrix_power(_rk4_map(lv, dt), n_full) @ rho0.matrix.reshape(16)
-        if rem > 0.0:
-            v = _rk4_map(lv, rem) @ v
+        step = _rk4_map(lv, dt)
+        last = step if h_last == dt else _rk4_map(lv, h_last)
+        v = last @ (np.linalg.matrix_power(step, n_steps - 1) @ rho0.matrix.reshape(16))
     return _unchecked_density(_revalidate(v.reshape(1, 4, 4), tol)[0][0])
 
 
@@ -512,27 +513,38 @@ def _parse_rates(body: str, count: int, what: str) -> list[float]:
         raise ParseError(f"{what} literal has a non-numeric field in {body!r}") from None
 
 
+def _read_json(path: str, what: str, key: str | None = None) -> dict:
+    """The JSON object in file ``path``, which must hold a list under ``key``
+    when one is named.  Every failure is a :class:`ParseError` that names
+    the file as ``what``."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from None
+    except ValueError as exc:  # bad JSON or bad text encoding
+        raise ParseError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{what} {path!r} must contain a JSON object")
+    if key is not None and not isinstance(payload.get(key), list):
+        raise ParseError(f"{what} {path!r} lacks a {key!r} list")
+    return payload
+
+
 def _load_custom_channel(path: str) -> CustomChannel:
     """Read a jump list from a JSON file.
 
     Schema: ``{"jumps": [{"matrix": "dense:<16 re:im pairs>", "rate": r}, ...]}``
-    where the matrix uses the dense state-literal entry format (row-major).
+    where the matrix uses the dense state-literal entry format (row-major)
+    and the rate is read as the text ``str(r)``.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read custom channel file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"custom channel file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "jumps" not in payload:
-        raise ParseError(f"custom channel file {path!r} lacks a 'jumps' list")
     jumps = []
-    for idx, entry in enumerate(payload["jumps"]):
+    for idx, entry in enumerate(_read_json(path, "custom channel file", "jumps")["jumps"]):
         if not isinstance(entry, dict) or "matrix" not in entry or "rate" not in entry:
             raise ParseError(
                 f"jump {idx + 1} in {path!r} needs 'matrix' and 'rate' fields"
             )
-        jumps.append((parse_dense_entries(str(entry["matrix"])), float(entry["rate"])))
+        (rate,) = _parse_rates(str(entry["rate"]), 1, f"jump {idx + 1} in {path!r}: rate")
+        jumps.append((parse_dense_entries(str(entry["matrix"])), rate))
     return CustomChannel(tuple(jumps))
 
 

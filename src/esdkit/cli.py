@@ -2,9 +2,13 @@
 
 Subcommands ``evolve``, ``death-time``, ``classify`` and ``sweep`` parse
 state/channel literals, run the corresponding library operations and emit
-CSV or JSON to stdout or ``--out``.  Values resolve as flags over
-config-file entries over built-in defaults; outputs are byte-identical
-for identical configs and seeds.  ``sweep`` decides all grid rows in one
+CSV or JSON to stdout or ``--out``.  The parser is built once per process.
+Values resolve as flags over config-file entries over built-in defaults,
+and both go through one conversion: a config entry is read as its flag's
+text would be, so a value of the wrong type (``"seed": 1.5``, ``"horizon":
+[1]``) exits 2 like the same bad flag.  ``--config``, ``--set-file`` and
+``custom:`` files share one JSON reader.  Outputs are byte-identical for
+identical configs and seeds.  ``sweep`` decides all grid rows in one
 batched pass; ``--jobs`` is validated but has no effect, and ``--dt``,
 ``evolve``'s step, is validated and ignored elsewhere.  Exit codes: 0 ok,
 2 usage or parse error (including non-finite numbers), 3 runtime error.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ChannelSpec, ExplicitSamples, is_catalog, max_rate, parse_channel_literal
+from .channels import (
+    ChannelSpec, ExplicitSamples, _read_json, is_catalog, max_rate, parse_channel_literal,
+)
 from .classify import classify_channel, classify_set, scenario_to_json
 from .dynamics import (
     _death_reports,
@@ -45,11 +50,6 @@ from .states import (
 __all__ = ["RunConfig", "build_parser", "main",
            "cmd_evolve", "cmd_death_time", "cmd_classify", "cmd_sweep"]
 
-_CONFIG_KEYS = {
-    "channel", "state", "horizon", "dt", "seed", "eps_death", "out",
-    "jobs", "samples", "set_file", "family", "grid",
-}
-
 # x-literal field names accepted as sweep parameters; bare w/z mean the real parts
 _SWEEP_FIELDS = ("a", "b", "c", "d", "w_re", "w_im", "z_re", "z_im")
 _SWEEP_ALIASES = {"w": "w_re", "z": "z_re"}
@@ -67,7 +67,6 @@ class RunConfig:
     seed: int = 0
     tol: ToleranceConfig = field(default_factory=ToleranceConfig)
     out: str | None = None
-    jobs: int | None = None
     samples: int = 100
     set_file: str | None = None
     family: str = "x"
@@ -80,153 +79,141 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate two-qubit noise channels and classify "
                     "entanglement sudden death.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--channel", help="channel literal (decay:/dephase:/collective:/custom:)")
+    shared.add_argument("--state", help="state literal (x: or dense:)")
+    shared.add_argument("--horizon", help="observation time span")
+    shared.add_argument("--dt", help="evolve's step; other subcommands ignore it")
+    shared.add_argument("--seed", help="seed for sampled classification members")
+    shared.add_argument("--eps-death", help="negativity death threshold")
+    shared.add_argument("--out", help="output path (default: stdout)")
+    shared.add_argument("--config", help="JSON file with defaults for any flag")
+    shared.add_argument("--jobs", help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "evolve": "sample a trajectory and write its CSV",
-        "death-time": "scan for loss of entanglement and write a JSON report",
-        "classify": "label a channel's asymptotic set and write JSON evidence",
-        "sweep": "evaluate death-time over a parameter grid and write CSV",
-    }
-    commands = {}
-    for name, help_text in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--channel", help="channel literal (decay:/dephase:/collective:/custom:)")
-        cmd.add_argument("--state", help="state literal (x: or dense:)")
-        cmd.add_argument("--horizon", type=float, help="observation time span")
-        cmd.add_argument("--dt", type=float, help="evolve's step; other subcommands ignore it")
-        cmd.add_argument("--seed", type=int, help="seed for sampled classification members")
-        cmd.add_argument("--eps-death", type=float, help="negativity death threshold")
-        cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--config", help="JSON file with defaults for any flag")
-        cmd.add_argument("--jobs", type=int,
-                         help="accepted for compatibility; has no effect")
-        commands[name] = cmd
-    commands["classify"].add_argument("--set-file", help="JSON file with explicit member states")
-    commands["classify"].add_argument("--samples", type=int,
-                                      help="random members per sampled family (default 100)")
-    commands["sweep"].add_argument("--grid", action="append",
-                                   help="parameter grid, param=start:stop:n (repeatable)")
-    commands["sweep"].add_argument("--family", choices=("x", "pure"),
-                                   help="swept family: overrides of --state (x) or "
-                                        "pure superpositions of |ee> and |gg> (pure)")
+    sub.add_parser("evolve", help="sample a trajectory and write its CSV", parents=[shared])
+    sub.add_parser("death-time", help="scan for loss of entanglement and write a JSON report",
+                   parents=[shared])
+    classify = sub.add_parser(
+        "classify", help="label a channel's asymptotic set and write JSON evidence",
+        parents=[shared],
+    )
+    classify.add_argument("--set-file", help="JSON file with explicit member states")
+    classify.add_argument("--samples", help="random members per sampled family (default 100)")
+    sweep = sub.add_parser("sweep", help="evaluate death-time over a parameter grid and write CSV",
+                           parents=[shared])
+    sweep.add_argument("--grid", action="append",
+                       help="parameter grid, param=start:stop:n (repeatable)")
+    sweep.add_argument("--family", choices=("x", "pure"),
+                       help="swept family: overrides of --state (x) or "
+                            "pure superpositions of |ee> and |gg> (pure)")
     return parser
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read --config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--config {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError(f"--config {path!r} must contain a JSON object")
-    normalized = {}
-    for key, value in payload.items():
-        name = key.replace("-", "_")
-        if name not in _CONFIG_KEYS:
-            raise ParseError(f"--config {path!r} has unknown key {key!r}")
-        normalized[name] = value
-    return normalized
-
-
-def _parse_field(name: str, text: str, parse):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ParseError(f"invalid --{name}: {exc}") from None
 
 
 def _parse_grid(text: str) -> tuple[str, np.ndarray]:
     head, sep, tail = text.partition("=")
     if not sep:
-        raise ParseError(f"invalid --grid {text!r}: expected param=start:stop:n")
+        raise ParseError(f"{text!r}: expected param=start:stop:n")
     name = head.strip()
     name = _SWEEP_ALIASES.get(name, name)
     if name not in _SWEEP_FIELDS:
         raise ParseError(
-            f"invalid --grid {text!r}: unknown parameter {head.strip()!r} "
+            f"{text!r}: unknown parameter {head.strip()!r} "
             f"(expected one of {', '.join(_SWEEP_FIELDS)})"
         )
     parts = tail.split(":")
     if len(parts) != 3:
-        raise ParseError(f"invalid --grid {text!r}: expected start:stop:n")
+        raise ParseError(f"{text!r}: expected start:stop:n")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise ParseError(f"invalid --grid {text!r}: non-numeric bound or count") from None
+        raise ParseError(f"{text!r}: non-numeric bound or count") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ParseError(f"invalid --grid {text!r}: bounds must be finite")
+        raise ParseError(f"{text!r}: bounds must be finite")
     if count < 1:
-        raise ParseError(f"invalid --grid {text!r}: n must be >= 1")
+        raise ParseError(f"{text!r}: n must be >= 1")
     return name, np.linspace(start, stop, count)
 
 
-def _positive(value, name: str) -> float | None:
-    if value is None:
-        return None
-    number = float(value)
+def _positive(text: str) -> float:
+    number = float(text)
     if not (number > 0.0 and math.isfinite(number)):
-        raise ParseError(f"invalid --{name}: must be positive and finite, got {value!r}")
+        raise ValueError(f"must be positive and finite, got {number!r}")
     return number
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
+def _at_least(low: int):
+    def count(text: str) -> int:
+        number = int(text)
+        if number < low:
+            raise ValueError(f"must be >= {low}, got {number!r}")
+        return number
+    return count
 
-    def resolve(name: str, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values and file_values[name] is not None:
-            return file_values[name]
-        return default
 
-    config = RunConfig(command=args.command)
-    channel_text = resolve("channel")
-    if channel_text is not None:
-        config.channel = _parse_field("channel", str(channel_text), parse_channel_literal)
-    state_text = resolve("state")
-    if state_text is not None:
-        config.state = _parse_field("state", str(state_text), parse_state_literal)
-    config.horizon = _positive(resolve("horizon"), "horizon")
-    config.dt = _positive(resolve("dt"), "dt")
-    config.seed = int(resolve("seed", 0))
-    eps_death = resolve("eps_death")
+def _family(text: str) -> str:
+    if text not in ("x", "pure"):
+        raise ValueError(f"expected 'x' or 'pure', got {text!r}")
+    return text
+
+
+# Each flag's RunConfig field and how its text is read; --jobs is only
+# validated.  The keys are also the accepted config-file keys.
+_FIELDS = {
+    "channel": ("channel", parse_channel_literal),
+    "state": ("state", parse_state_literal),
+    "horizon": ("horizon", _positive),
+    "dt": ("dt", _positive),
+    "seed": ("seed", int),
+    "eps_death": ("tol", lambda text: ToleranceConfig(eps_death=float(text))),
+    "out": ("out", str),
+    "jobs": (None, _at_least(1)),
+    "samples": ("samples", _at_least(0)),
+    "set_file": ("set_file", str),
+    "family": ("family", _family),
+    "grid": ("grids", _parse_grid),
+}
+
+
+def _read(name: str, value):
+    """``value`` converted as the text of flag ``--name`` would be.
+
+    A config entry ``v`` is read as the text ``str(v)``, so ``1.5`` or
+    ``true`` for an integer flag fails as ``--seed 1.5`` would.  ``grid``
+    takes one text or a list of them, as the repeatable flag does.
+    """
+    kind = _FIELDS[name][1]
     try:
-        config.tol = (
-            ToleranceConfig(eps_death=float(eps_death))
-            if eps_death is not None
-            else ToleranceConfig()
-        )
+        if name == "grid":
+            return [kind(str(item)) for item in (value if isinstance(value, list) else [value])]
+        return kind(str(value))
     except ValueError as exc:
-        raise ParseError(f"invalid --eps-death: {exc}") from None
-    out = resolve("out")
-    config.out = None if out is None else str(out)
-    jobs = resolve("jobs")
-    if jobs is not None:
-        config.jobs = int(jobs)
-        if config.jobs < 1:
-            raise ParseError(f"invalid --jobs: must be >= 1, got {jobs!r}")
-    config.samples = int(resolve("samples", 100))
-    if config.samples < 0:
-        raise ParseError(f"invalid --samples: must be >= 0, got {config.samples!r}")
-    set_file = resolve("set_file")
-    config.set_file = None if set_file is None else str(set_file)
-    config.family = str(resolve("family", "x"))
-    if config.family not in ("x", "pure"):
-        raise ParseError(f"invalid --family: expected 'x' or 'pure', got {config.family!r}")
-    grid_texts = getattr(args, "grid", None)
-    if grid_texts is None:
-        raw = file_values.get("grid")
-        if raw is None:
-            grid_texts = []
-        elif isinstance(raw, list):
-            grid_texts = [str(item) for item in raw]
-        else:
-            grid_texts = [str(raw)]
-    config.grids = [_parse_grid(text) for text in grid_texts]
+        raise ParseError(f"invalid --{name.replace('_', '-')}: {exc}") from None
+
+
+def _load_config_file(path: str) -> dict:
+    values = {}
+    for key, value in _read_json(path, "--config").items():
+        name = key.replace("-", "_")
+        if name not in _FIELDS:
+            raise ParseError(f"--config {path!r} has unknown key {key!r}")
+        if value is not None:
+            values[name] = value
+    return values
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Config-file entries overlaid with the flags that were set, each
+    converted by :func:`_read`."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in _FIELDS and value is not None)
+    config = RunConfig(command=args.command)
+    for name, value in values.items():
+        target = _FIELDS[name][0]
+        converted = _read(name, value)
+        if target is not None:
+            setattr(config, target, converted)
     return config
 
 
@@ -276,16 +263,8 @@ def cmd_death_time(config: RunConfig) -> int:
 
 def _load_set_file(path: str, tol: ToleranceConfig) -> ExplicitSamples:
     """Read explicit members from JSON: ``{"states": ["<literal>", ...]}``."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read --set-file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--set-file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "states" not in payload:
-        raise ParseError(f"--set-file {path!r} lacks a 'states' list")
     members = []
-    for idx, literal in enumerate(payload["states"]):
+    for idx, literal in enumerate(_read_json(path, "--set-file", "states")["states"]):
         try:
             state = parse_state_literal(str(literal), tol)
         except ValueError as exc:
@@ -377,9 +356,11 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _build_config(args)
     except ParseError as exc:

@@ -57,6 +57,7 @@ from .channels import (
     x_closed_curves,
     _revalidate,
     _rk4_map,
+    _step_plan,
 )
 from .entanglement import _partial_transpose_many
 from .errors import (
@@ -263,7 +264,7 @@ def simulate(
     _require_positive("dt", dt)
     x0 = _x_form(state0, tol)
 
-    n_steps = max(1, int(np.ceil(horizon / dt * (1.0 - 1e-12))))
+    n_steps, h_last = _step_plan(horizon, dt)
     if sample_every is None:
         sample_every = max(1, int(np.ceil(n_steps / DEFAULT_SAMPLES)))
     elif sample_every < 1:
@@ -284,7 +285,6 @@ def simulate(
             state0 = embed_x(x0)
         lv = liouvillian(channel)
         step = _rk4_map(lv, dt)
-        h_last = min(dt, horizon - (n_steps - 1) * dt)
         # a step too large for RK4 can overflow; _revalidate reports it
         with np.errstate(over="ignore", invalid="ignore"):
             hop = np.linalg.matrix_power(step, sample_every)

@@ -32,6 +32,7 @@ from esdkit import (
     random_density,
     random_x,
     set_contains,
+    simulate,
     thermal_product,
     x_closed_curves,
 )
@@ -245,6 +246,17 @@ def test_propagate_numeric_semigroup():
         propagate_numeric(rho, channel, 0.4, dt=1e-3), channel, 0.6, dt=1e-3
     )
     np.testing.assert_allclose(one_hop.matrix, two_hop.matrix, atol=1e-8)
+
+
+def test_propagate_numeric_ends_at_t_like_simulate():
+    # same step rule as simulate: ceil(t/dt) steps, the last one shortened;
+    # t = 1 + 1e-11 leaves a sliver of a step that must not be dropped
+    rho = random_density(7)
+    channel = IndependentDecay(0.8, 1.2, 0.3)
+    for t in (1.0, 1.00000000001, 0.95):
+        last = simulate(rho, channel, t, dt=0.1).states[-1].matrix
+        got = propagate_numeric(rho, channel, t, dt=0.1).matrix
+        assert np.abs(got - last).max() <= 1e-13, t
 
 
 def test_propagate_numeric_preserves_x_pattern():
@@ -517,3 +529,10 @@ def test_custom_channel_file_errors(tmp_path):
     missing_rate.write_text(json.dumps({"jumps": [{"matrix": "dense:bad"}]}))
     with pytest.raises(ParseError):
         parse_channel_literal(f"custom:{missing_rate}")
+    entries = ",".join("0.0:0.0" for _ in range(16))
+    for payload in ([], {"jumps": 5}, {"jumps": [{"matrix": entries, "rate": [1]}]},
+                    {"jumps": [{"matrix": entries, "rate": "fast"}]}):
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            parse_channel_literal(f"custom:{hostile}")

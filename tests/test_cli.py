@@ -1,4 +1,5 @@
-"""End-to-end command-line checks through ``python -m esdkit``."""
+"""End-to-end command-line checks through ``python -m esdkit``; the
+contract checks at the end call ``esdkit.cli.main`` in process."""
 
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from esdkit import parse_trajectory_csv
+from esdkit import cli, parse_trajectory_csv
 
 from _cli import cli_env
 
@@ -19,6 +20,13 @@ def run_cli(*args, cwd=None):
         [sys.executable, "-m", "esdkit", *args],
         capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
+
+
+def assert_clean_exit_2(result):
+    """Exit 2 with a one-line ``error:`` message, not a traceback."""
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
 
 
 # --- evolve -----------------------------------------------------------------
@@ -108,6 +116,12 @@ def test_death_time_custom_channel_exit_2(tmp_path):
     )
     assert result.returncode == 2
     assert "catalog channel" in result.stderr
+    # a malformed jump list is a parse error, not a crash
+    for payload in ({"jumps": 5}, {"jumps": [{"matrix": entries, "rate": [1]}]}):
+        path.write_text(json.dumps(payload))
+        assert_clean_exit_2(run_cli(
+            "evolve", "--channel", f"custom:{path}", "--state", PURE_07, "--horizon", "1"
+        ))
 
 
 def test_death_time_eps_death_flag_recorded():
@@ -153,6 +167,8 @@ def test_classify_bad_set_file_exit_2(tmp_path):
     path.write_text(json.dumps({"states": ["x:0.5,0,0"]}))
     result = run_cli("classify", "--set-file", str(path))
     assert result.returncode == 2
+    path.write_text(json.dumps({"states": 5}))
+    assert_clean_exit_2(run_cli("classify", "--set-file", str(path)))
 
 
 # --- sweep ------------------------------------------------------------------
@@ -276,7 +292,7 @@ def test_flags_override_config_file(tmp_path):
     assert json.loads(result.stdout)["verdict"] == "asymptotic"
 
 
-def test_config_file_errors_exit_2(tmp_path):
+def test_config_file_errors_exit_2(tmp_path, capsys):
     missing = run_cli("classify", "--config", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
     bad = tmp_path / "bad.json"
@@ -285,6 +301,15 @@ def test_config_file_errors_exit_2(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"channel": "collective:1.0", "color": "red"}))
     assert run_cli("classify", "--config", str(unknown)).returncode == 2
+    # an entry is read as its flag's text would be, so a wrong type fails
+    # as the same bad flag does instead of crashing or being truncated
+    # (in process: a crash would raise out of main)
+    wrong_types = tmp_path / "wrong.json"
+    for entry in ({"seed": "abc"}, {"horizon": "abc"}, {"jobs": "two"},
+                  {"horizon": [1]}, {"seed": 1.5}, {"seed": True}):
+        wrong_types.write_text(json.dumps({"channel": "collective:1.0", **entry}))
+        assert cli.main(["classify", "--samples", "1", "--config", str(wrong_types)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid --{next(iter(entry))}: ")
 
 
 # --- shared behaviour -------------------------------------------------------
@@ -346,3 +371,44 @@ def test_repeated_runs_byte_identical():
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+# --- unchanged input contract, in process ------------------------------------
+
+CONTRACT_RUNS = {
+    "evolve": ("--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "0.5"),
+    "death-time": ("--channel", "decay:1,1,0", "--state", PURE_07),
+    "classify": ("--channel", "collective:1", "--samples", "2"),
+    "sweep": ("--channel", "decay:1,1,0", "--family", "pure", "--grid", "a=0.6:0.8:2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_jobs_and_dt_accepted_and_validated_everywhere(command, capsys):
+    args = [command, *CONTRACT_RUNS[command]]
+    assert cli.main(args + ["--jobs", "1", "--dt", "0.01"]) == 0
+    capsys.readouterr()
+    for bad in (["--jobs", "0"], ["--dt", "-1"], ["--dt", "nan"]):
+        assert cli.main(args + bad) == 2, bad
+        assert capsys.readouterr().err.startswith(f"error: invalid {bad[0]}: ")
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "channel": "decay:1,1,0", "state": PURE_07, "horizon": 0.5,
+        "grid": ["a=0.6:0.8:2"], "family": "pure", "samples": 3, "set-file": None,
+    }))
+    assert cli.main(["evolve", "--config", str(config)]) == 0
+    with_config = capsys.readouterr().out
+    assert cli.main(["evolve", *CONTRACT_RUNS["evolve"]]) == 0
+    assert capsys.readouterr().out == with_config
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+    assert cli.main(["classify", "--channel", "collective:1", "--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "iv"
