@@ -21,8 +21,10 @@ bytes are those of classifying and formatting one member at a time.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .channels import (
     asymptotic_set,
     is_catalog,
 )
-from .entanglement import LABEL_BOUNDARY, LABEL_ENTANGLED, RegionLabel, _regions
+from .entanglement import LABEL_BOUNDARY, LABEL_ENTANGLED, LABEL_INTERIOR, RegionLabel, _regions
 from .errors import (
     EmptySetError,
     OutOfRangeError,
@@ -47,10 +49,9 @@ from .states import (
     DEFAULT_TOL,
     DensityMatrix,
     ToleranceConfig,
-    _X_PATTERN,
+    _stack_literals,
     _unchecked_density,
     _x_stack,
-    format_dense_entries,
 )
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
 FAMILY_ONE = "one"
 FAMILY_MULTI = "multi"
 CASES = ("i", "ii", "iii", "iv")
+_REGION_NAMES = (LABEL_INTERIOR, LABEL_BOUNDARY, LABEL_ENTANGLED)
 
 # members per chunk of a batched classification; each chunk's arrays stay
 # below glibc's default 128 KiB mmap threshold, whose dynamic raise on
@@ -167,16 +169,17 @@ def _family_chunks(family: XFamily, n_samples: int, seed: int) -> Iterator[np.nd
         yield _random_members(family, rng, min(_CLASSIFY_MEMBERS, n_samples - first))
 
 
-def _member_chunks(aset: AsymptoticSet, n_samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The members of :func:`sample_asymptotic`, in order, as stacks of at
-    most ``_CLASSIFY_MEMBERS``; X-family members come straight from
-    parameter arrays."""
+def _member_chunks(aset: AsymptoticSet | np.ndarray, n_samples: int,
+                   seed: int) -> Iterator[np.ndarray]:
+    """The members of :func:`sample_asymptotic`, or of a member array, in
+    order, as stacks of at most ``_CLASSIFY_MEMBERS``; X-family members
+    come straight from parameter arrays."""
     # a negative count falls through to sample_asymptotic, which rejects it
     if isinstance(aset, XFamily) and n_samples >= 0:
         return _family_chunks(aset, n_samples, seed)
-    states = sample_asymptotic(aset, n_samples, seed)
-    return (np.array([m.matrix for m in states[i:i + _CLASSIFY_MEMBERS]])
-            for i in range(0, len(states), _CLASSIFY_MEMBERS))
+    stack = aset if isinstance(aset, np.ndarray) else np.array(
+        [m.matrix for m in sample_asymptotic(aset, n_samples, seed)])
+    return (stack[i:i + _CLASSIFY_MEMBERS] for i in range(0, len(stack), _CLASSIFY_MEMBERS))
 
 
 def sample_asymptotic(
@@ -201,28 +204,16 @@ def sample_asymptotic(
     raise ValidationError(f"unknown asymptotic set type {type(aset).__name__}")
 
 
-def _literals(stack: np.ndarray) -> list[str]:
-    """Evidence literals of stacked members, as member by member: the
-    ``x:`` form of :func:`~esdkit.states.project_x` where it accepts the
-    member (at the default ``eps_psd``), else the ``dense:`` form."""
-    is_x = np.abs(stack[:, ~_X_PATTERN]).max(axis=1) < DEFAULT_TOL.eps_psd
-    xs = stack[is_x]
-    # populations, then the real and imaginary parts of w and of z
-    coherences = np.ascontiguousarray(xs[:, [0, 1], [3, 2]]).view(float)
-    fields = np.column_stack([xs[:, [0, 1, 2, 3], [0, 1, 2, 3]].real, coherences])
-    x_literals = iter(["x:" + ",".join(map(repr, row)) for row in fields.tolist()])
-    dense_literals = iter(["dense:" + format_dense_entries(m) for m in stack[~is_x]])
-    return [next(x_literals) if x else next(dense_literals) for x in is_x.tolist()]
-
-
 def classify_set(
-    aset: AsymptoticSet,
+    aset: AsymptoticSet | np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
     n_samples: int = 100,
     seed: int = 0,
 ) -> ScenarioLabel:
     """Assign the scenario label for an asymptotic set.
 
+    ``aset`` may also be an (n, 4, 4) array of explicit members, classified
+    as the :class:`~esdkit.channels.ExplicitSamples` of their matrices.
     Family is "one" for a single point (or an explicit set of one state)
     and "multi" otherwise.  The case follows the evidence labels: all
     interior -> i; all separable with boundary contact -> ii; all
@@ -240,11 +231,11 @@ def classify_set(
     evidence: list[Evidence] = []
     for chunk in _member_chunks(aset, n_samples, seed):
         regions = _regions(chunk, tol, len(evidence))
-        evidence.extend(map(Evidence, _literals(chunk), regions))
+        evidence.extend(map(Evidence, _stack_literals(chunk), regions))
     if not evidence:
         raise EmptySetError("asymptotic set has no members to classify")
     single = isinstance(aset, SinglePoint) or (
-        isinstance(aset, ExplicitSamples) and len(evidence) == 1
+        isinstance(aset, (ExplicitSamples, np.ndarray)) and len(evidence) == 1
     )
     family = FAMILY_ONE if single else FAMILY_MULTI
     labels = {ev.region.label for ev in evidence}
@@ -277,33 +268,41 @@ def classify_channel(
 
 
 def scenario_to_json(label: ScenarioLabel) -> str:
-    payload = {
-        "family": label.family,
-        "case": label.case,
-        "evidence": [
-            {
-                "state": ev.state,
-                "label": ev.region.label,
-                "margin": ev.region.margin,
-            }
-            for ev in label.evidence
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The label as JSON with an indent of 2: the bytes of ``json.dumps``
+    on the same fields in the same order, plus a newline.  Margins are
+    written as their shortest round-trip floats and must be finite."""
+    margins = [float(ev.region.margin) for ev in label.evidence]
+    if not all(map(math.isfinite, margins)):
+        raise ValidationError("scenario evidence has a non-finite margin")
+    entries = ",\n".join(
+        f'    {{\n      "state": {_quote(ev.state)},\n      "label": {_quote(ev.region.label)},\n'
+        f'      "margin": {margin!r}\n    }}' for ev, margin in zip(label.evidence, margins))
+    evidence = f"[\n{entries}\n  ]" if entries else "[]"
+    return (f'{{\n  "family": {_quote(label.family)},\n  "case": {_quote(label.case)},\n'
+            f'  "evidence": {evidence}\n}}\n')
 
 
 def scenario_from_json(text: str) -> ScenarioLabel:
+    """Read :func:`scenario_to_json` output; a malformed document raises
+    :class:`ParseError`."""
     try:
-        payload = json.loads(text)
+        # integers read as floats, so a huge one is inf and refused below
+        payload = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad scenario JSON: {exc}") from None
-    if not isinstance(payload, dict) or not {"family", "case", "evidence"} <= set(payload):
-        raise ParseError("scenario JSON must contain family, case and evidence")
+    if not (isinstance(payload, dict) and {"family", "case", "evidence"} <= set(payload)
+            and isinstance(payload["evidence"], list)):
+        raise ParseError("scenario JSON must contain family, case and an evidence list")
     evidence = []
     for idx, entry in enumerate(payload["evidence"]):
-        if not isinstance(entry, dict) or not {"state", "label", "margin"} <= set(entry):
-            raise ParseError(f"evidence entry {idx + 1} needs state, label and margin")
-        evidence.append(
-            Evidence(str(entry["state"]), RegionLabel(str(entry["label"]), float(entry["margin"])))
-        )
-    return ScenarioLabel(str(payload["family"]), str(payload["case"]), tuple(evidence))
+        entry = entry if isinstance(entry, dict) else {}
+        state, region, margin = entry.get("state"), entry.get("label"), entry.get("margin")
+        if not (isinstance(state, str) and region in _REGION_NAMES
+                and isinstance(margin, float) and math.isfinite(margin)):
+            raise ParseError(f"evidence entry {idx + 1} needs a string state, a label in "
+                             f"{_REGION_NAMES} and a finite number as margin")
+        evidence.append(Evidence(state, RegionLabel(region, margin)))
+    try:
+        return ScenarioLabel(str(payload["family"]), str(payload["case"]), tuple(evidence))
+    except ValidationError as exc:
+        raise ParseError(f"bad scenario JSON: {exc}") from None

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import (
-    ChannelSpec, ExplicitSamples, _read_json, is_catalog, max_rate, parse_channel_literal,
+    ChannelSpec, _read_json, is_catalog, max_rate, parse_channel_literal,
 )
 from .classify import classify_channel, classify_set, scenario_to_json
 from .dynamics import (
@@ -41,7 +41,7 @@ from .states import (
     DensityMatrix,
     ToleranceConfig,
     XState,
-    embed_x,
+    _literal_stack,
     make_x,
     parse_state_literal,
     project_x,
@@ -226,8 +226,11 @@ def _require(value, name: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def _require_x(state, name: str) -> XState:
@@ -261,24 +264,22 @@ def cmd_death_time(config: RunConfig) -> int:
     return 0
 
 
-def _load_set_file(path: str, tol: ToleranceConfig) -> ExplicitSamples:
-    """Read explicit members from JSON: ``{"states": ["<literal>", ...]}``."""
-    members = []
-    for idx, literal in enumerate(_read_json(path, "--set-file", "states")["states"]):
-        try:
-            state = parse_state_literal(str(literal), tol)
-        except ValueError as exc:
-            raise ParseError(f"--set-file {path!r} state {idx + 1}: {exc}") from None
-        members.append(embed_x(state) if isinstance(state, XState) else state)
-    return ExplicitSamples(tuple(members))
+def _load_set_file(path: str, tol: ToleranceConfig) -> np.ndarray:
+    """Read explicit members from JSON, ``{"states": ["<literal>", ...]}``,
+    as one validated (n, 4, 4) stack."""
+    literals = list(map(str, _read_json(path, "--set-file", "states")["states"]))
+    try:
+        return _literal_stack(literals, tol)
+    except ParseError as exc:
+        raise ParseError(f"--set-file {path!r} {exc}") from None
 
 
 def cmd_classify(config: RunConfig) -> int:
     if (config.channel is None) == (config.set_file is None):
         raise ParseError("classify requires exactly one of --channel or --set-file")
     if config.set_file is not None:
-        aset = _load_set_file(config.set_file, config.tol)
-        label = classify_set(aset, tol=config.tol, n_samples=config.samples,
+        members = _load_set_file(config.set_file, config.tol)
+        label = classify_set(members, tol=config.tol, n_samples=config.samples,
                              seed=config.seed)
     else:
         if not is_catalog(config.channel):

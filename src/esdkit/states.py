@@ -201,8 +201,8 @@ def _density_stack(
     """
 
     def reject(error, bad: np.ndarray, describe) -> None:
-        i = int(bad.argmax())
-        if bad[i]:
+        if bad.any():
+            i = int(bad.argmax())
             where = "" if first is None else f"member {first + i + 1}: "
             raise error(where + describe(i))
 
@@ -498,21 +498,64 @@ def format_state_literal(state: XState | DensityMatrix) -> str:
     raise ValidationError(f"cannot serialize object of type {type(state).__name__}")
 
 
+def _stack_literals(stack: np.ndarray) -> list[str]:
+    """Literals of stacked members, as member by member: the ``x:`` form
+    of :func:`project_x` where it accepts the member (at the default
+    ``eps_psd``), else the ``dense:`` form."""
+    is_x = np.abs(stack[:, ~_X_PATTERN]).max(axis=1) < DEFAULT_TOL.eps_psd
+    xs = stack[is_x]
+    # populations, then the real and imaginary parts of w and of z
+    coherences = np.ascontiguousarray(xs[:, [0, 1], [3, 2]]).view(float)
+    fields = np.column_stack([xs[:, [0, 1, 2, 3], [0, 1, 2, 3]].real, coherences])
+    x_literals = iter(["x:" + ",".join(map(repr, row)) for row in fields.tolist()])
+    dense_literals = iter(["dense:" + format_dense_entries(m) for m in stack[~is_x]])
+    return [next(x_literals) if x else next(dense_literals) for x in is_x.tolist()]
+
+
+def _x_fields(body: str) -> list[float]:
+    """The eight numbers of an ``x:`` literal (stripped, prefix included)."""
+    items = body[len("x:"):].split(",")
+    if len(items) != 8:
+        raise ParseError(f"x literal needs 8 fields, got {len(items)}")
+    try:
+        return [float(item) for item in items]
+    except ValueError:
+        raise ParseError(f"x literal has a non-numeric field in {body!r}") from None
+
+
+def _literal_stack(texts: list[str], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The (n, 4, 4) stack of the states :func:`parse_state_literal` reads
+    from ``texts``, validated as one stack per form.  If any fails, the
+    first it rejects, in order, raises its message prefixed ``state k: ``
+    (counting from 1) as a :class:`ParseError`."""
+    bodies = [text.strip() for text in texts]
+    x_at = [k for k, body in enumerate(bodies) if body.startswith("x:")]
+    dense_at = [k for k, body in enumerate(bodies) if body.startswith("dense:")]
+    try:
+        if len(x_at) + len(dense_at) != len(bodies):
+            raise ParseError("state literal must start with 'x:' or 'dense:'")
+        x = np.array([_x_fields(bodies[k]) for k in x_at]).reshape(-1, 8)
+        dense = np.array([parse_dense_entries(bodies[k]) for k in dense_at]).reshape(-1, 4, 4)
+        stack = np.empty((len(bodies), 4, 4), dtype=complex)
+        coherences = np.ascontiguousarray(x[:, 4:]).view(complex).T  # w and z
+        stack[x_at] = _x_stack((*x[:, :4].T, *coherences), tol)
+        stack[dense_at] = _density_stack(dense, tol)[0]
+    except ValueError:
+        for k, text in enumerate(texts):
+            try:
+                parse_state_literal(text, tol)
+            except ValueError as exc:
+                raise ParseError(f"state {k + 1}: {exc}") from None
+        raise
+    return stack
+
+
 def parse_state_literal(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> XState | DensityMatrix:
     """Parse a state literal (``x:`` or ``dense:`` form) with validation."""
     body = text.strip()
     if body.startswith("x:"):
-        items = body[len("x:"):].split(",")
-        if len(items) != 8:
-            raise ParseError(f"x literal needs 8 fields, got {len(items)}")
-        try:
-            vals = [float(item) for item in items]
-        except ValueError:
-            raise ParseError(f"x literal has a non-numeric field in {body!r}") from None
-        return make_x(
-            vals[0], vals[1], vals[2], vals[3],
-            complex(vals[4], vals[5]), complex(vals[6], vals[7]), tol=tol,
-        )
+        a, b, c, d, w_re, w_im, z_re, z_im = _x_fields(body)
+        return make_x(a, b, c, d, complex(w_re, w_im), complex(z_re, z_im), tol=tol)
     if body.startswith("dense:"):
         return make_density(parse_dense_entries(body), tol=tol)
     raise ParseError(

@@ -6,6 +6,7 @@ superoperators), so agreement with the library routes is evidence rather
 than tautology.
 """
 
+import json
 import math
 
 import numpy as np
@@ -298,3 +299,17 @@ def classify_set_scalar(aset, tol, n_samples=100, seed=0):
         case = "i"
     family = "one" if isinstance(aset, SinglePoint) or len(members) == 1 else "multi"
     return family, case, rows
+
+
+def scenario_to_json_reference(label):
+    """Scenario JSON as ``json.dumps(payload, indent=2)`` writes it, the
+    writer's former body."""
+    payload = {
+        "family": label.family,
+        "case": label.case,
+        "evidence": [
+            {"state": ev.state, "label": ev.region.label, "margin": ev.region.margin}
+            for ev in label.evidence
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import classify_set_scalar
+from _oracles import classify_set_scalar, scenario_to_json_reference
 from esdkit import (
     CASES,
     DEFAULT_TOL,
@@ -267,6 +267,14 @@ def test_mixed_members_match_scalar_loop_bit_for_bit():
     assert one.family == FAMILY_ONE
 
 
+def test_member_stack_classifies_as_explicit_samples():
+    stack = np.array([rho.matrix for rho in MIXED_MEMBERS])
+    assert classify_set(stack).evidence == classify_set(ExplicitSamples(MIXED_MEMBERS)).evidence
+    one = classify_set(stack[3:4])
+    assert (one.family, one.evidence) == (FAMILY_ONE, classify_set(
+        ExplicitSamples(MIXED_MEMBERS[3:4])).evidence)
+
+
 def test_classify_position_is_the_batch_of_one():
     label = classify_set(ExplicitSamples(MIXED_MEMBERS))
     for rho, ev in zip(MIXED_MEMBERS, label.evidence):
@@ -373,6 +381,36 @@ def test_scenario_json_round_trip_classifier_output():
     )
 
 
+CATALOG = (
+    IndependentDecay(1.0, 1.0, nbar=0.0),
+    IndependentDecay(1.0, 0.5, nbar=0.5),
+    IndependentDephasing(1.0, 2.0),
+    CollectiveDephasing(1.0),
+)
+
+
+def test_scenario_json_matches_json_dumps_byte_for_byte():
+    labels = [classify_channel(channel, n_samples=n) for channel in CATALOG for n in (0, 5, 100)]
+    labels.append(classify_set(ExplicitSamples(MIXED_MEMBERS)))
+    labels.append(ScenarioLabel(FAMILY_MULTI, "i", ()))
+    states = ('x:"quoted"', "back\\slash", "caf\u00e9 \u2603\n", "x:0.5,0,0,0.5,0,0,0,0")
+    margins = (np.float64(-0.125), -0.0, 5e-324, 1e300)
+    labels.append(ScenarioLabel(FAMILY_MULTI, "iv", tuple(
+        Evidence(state, RegionLabel(LABEL_BOUNDARY, margin))
+        for state, margin in zip(states, margins)
+    )))
+    for label in labels:
+        assert scenario_to_json(label) == scenario_to_json_reference(label)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_json_refuses_non_finite_margin(margin):
+    label = ScenarioLabel(FAMILY_ONE, "ii", (Evidence("x:1,0,0,0,0,0,0,0", RegionLabel(
+        LABEL_BOUNDARY, margin)),))
+    with pytest.raises(ValidationError, match="non-finite margin"):
+        scenario_to_json(label)
+
+
 def test_scenario_json_errors():
     with pytest.raises(ParseError):
         scenario_from_json("{oops")
@@ -382,3 +420,24 @@ def test_scenario_json_errors():
         scenario_from_json(
             '{"family": "one", "case": "i", "evidence": [{"state": "x"}]}'
         )
+
+    def document(state='"x:1,0,0,0,0,0,0,0"', label='"boundary"', margin="0.0",
+                 evidence=None, family='"one"'):
+        entry = f'{{"state": {state}, "label": {label}, "margin": {margin}}}'
+        evidence = f"[{entry}]" if evidence is None else evidence
+        return f'{{"family": {family}, "case": "ii", "evidence": {evidence}}}'
+
+    for bad in (
+        document(evidence="5"),
+        document(evidence="[5]"),
+        document(state="5"),
+        document(label='"bogus"'),
+        *(document(margin=margin)
+          for margin in ('"abc"', "[1]", "true", "NaN", "-Infinity", "1e400", "1" + "0" * 400)),
+        document(family='"some"'),
+    ):
+        with pytest.raises(ParseError):
+            scenario_from_json(bad)
+    # an integer margin is a finite number
+    assert scenario_from_json(document(margin="0")).evidence[0] == (
+        Evidence("x:1,0,0,0,0,0,0,0", RegionLabel(LABEL_BOUNDARY, 0.0)))

@@ -4,11 +4,12 @@ contract checks at the end call ``esdkit.cli.main`` in process."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esdkit import cli, parse_trajectory_csv
+from esdkit import cli, parse_state_literal, parse_trajectory_csv
 
 from _cli import cli_env
 
@@ -412,3 +413,55 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
     assert cli.main(["classify", "--channel", "collective:1", "--samples", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["case"] == "iv"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "result.txt")
+    for command in sorted(CONTRACT_RUNS):
+        assert cli.main([command, *CONTRACT_RUNS[command], "--out", out]) == 2, command
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out!r}: ")
+
+
+# --- set-file errors name the first bad member -------------------------------
+
+def dense_literal(matrix) -> str:
+    return "dense:" + ",".join(f"{v.real!r}:{v.imag!r}" for v in np.ravel(matrix).astype(complex).tolist())
+
+
+GOOD_X = "x:0.4,0.1,0.2,0.3,0.1,0.05,0,0.1"
+GOOD_DENSE = dense_literal(np.eye(4) / 4.0)
+BAD_X = {
+    "field-count": "x:0.5,0,0,0.5",
+    "non-numeric": "x:0.5,zero,0,0.5,0,0,0,0",
+    "negative-population": "x:1.2,-0.2,0,0,0,0,0,0",
+    "trace-off": "x:0.5,0.5,0.5,0,0,0,0,0",
+    "w-bound": "x:0.5,0,0,0.5,0.6,0,0,0",
+    "nan": "x:nan,0,0,1,0,0,0,0",
+}
+BAD_DENSE = {
+    "entry-count": "dense:0.25:0,0:0,0:0",
+    "not-re-im": dense_literal_with("0.25"),
+    "not-hermitian": dense_literal(np.eye(4) / 4.0 + np.triu(np.ones((4, 4)), 1) * 1e-3),
+    "trace-off": dense_literal(np.eye(4) / 2.0),
+    "negative-eigenvalue": dense_literal(np.diag([0.5, 0.5, 0.25, -0.25])),
+}
+BAD_SETS = {
+    **{f"x-{name}": [GOOD_DENSE, GOOD_DENSE, bad] for name, bad in BAD_X.items()},
+    **{f"dense-{name}": [GOOD_X, GOOD_X, bad] for name, bad in BAD_DENSE.items()},
+    "prefix": [GOOD_X, GOOD_DENSE, "y:0.25,0.25,0.25,0.25"],
+    "dense-value-then-x-syntax": [GOOD_X, BAD_DENSE["trace-off"], BAD_X["field-count"]],
+    "x-syntax-then-dense-value": [GOOD_DENSE, BAD_X["field-count"], BAD_DENSE["trace-off"]],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SETS))
+def test_set_file_names_first_bad_member(name, tmp_path, capsys):
+    members = BAD_SETS[name]
+    first_bad = next(k for k, literal in enumerate(members) if literal not in (GOOD_X, GOOD_DENSE))
+    with pytest.raises(ValueError) as own:
+        parse_state_literal(members[first_bad])
+    path = str(tmp_path / "set.json")
+    Path(path).write_text(json.dumps({"states": members}))
+    assert cli.main(["classify", "--set-file", path]) == 2
+    expected = f"error: --set-file {path!r} state {first_bad + 1}: {own.value}\n"
+    assert capsys.readouterr().err == expected

@@ -37,7 +37,8 @@ from esdkit.errors import (
     TraceNotOneError,
     ValidationError,
 )
-from esdkit.states import _x_stack
+from esdkit import states
+from esdkit.states import _literal_stack, _x_stack
 
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -139,6 +140,25 @@ def test_x_stack_raises_make_x_error_for_first_failing_member(bad, error):
     with pytest.raises(error) as got:
         _x_stack(_x_params([good, bad, good, later]))
     assert str(got.value) == str(want.value)
+
+
+def test_literal_stack_matches_member_by_member_parse(monkeypatch):
+    texts = [format_state_literal(random_x(seed)) for seed in range(20)]
+    texts[3::4] = [format_state_literal(random_density(seed)) for seed in range(5)]
+    texts += [" x: 0.5,0,0 ,0.5,-0.0,-0.0,0,-0.0\n",
+              "dense: 0.25:0,0:-0.0,0:0,0:0, 0:0,0.25:0,0:0,0:0, "
+              "0:0,0:0,0.25:-0.0,0:0, 0:0,0:0,0:0,0.25:0 "]
+    members = [parse_state_literal(text) for text in texts]
+    want = [embed_x(m) if isinstance(m, XState) else m for m in members]
+
+    def per_member(*args, **kwargs):
+        raise AssertionError("a valid stack was parsed member by member")
+
+    for name in ("parse_state_literal", "make_x", "make_density", "embed_x"):
+        monkeypatch.setattr(states, name, per_member)
+    stack = _literal_stack(texts)
+    assert [m.tobytes() for m in stack] == [m.matrix.tobytes() for m in want]
+    assert _literal_stack([]).shape == (0, 4, 4)
 
 
 def test_embed_project_round_trip():
