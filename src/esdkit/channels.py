@@ -184,23 +184,29 @@ def is_catalog(channel: ChannelSpec) -> bool:
     return isinstance(channel, _CATALOG)
 
 
+# the catalog's jump operators as (on qubit A, on qubit B), built once, read-only
+_LOWER, _RAISE, _PHASE = (
+    (_frozen(np.kron(op, IDENTITY_2)), _frozen(np.kron(IDENTITY_2, op)))
+    for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z)
+)
+_INVERSION = _frozen(0.5 * (_PHASE[0] + _PHASE[1]))
+_EYE_4 = _frozen(np.eye(4))
+
+
 def jump_operators(channel: ChannelSpec) -> list[tuple[np.ndarray, float]]:
-    """The ``(L, rate)`` pairs defining the generator (zero rates dropped)."""
+    """The ``(L, rate)`` pairs defining the generator (zero rates dropped).
+    Each ``L`` is read-only; catalog channels share module constants."""
     if isinstance(channel, IndependentDecay):
         pairs = [
-            (np.kron(SIGMA_MINUS, IDENTITY_2), channel.gamma_a * (channel.nbar + 1.0)),
-            (np.kron(IDENTITY_2, SIGMA_MINUS), channel.gamma_b * (channel.nbar + 1.0)),
-            (np.kron(SIGMA_PLUS, IDENTITY_2), channel.gamma_a * channel.nbar),
-            (np.kron(IDENTITY_2, SIGMA_PLUS), channel.gamma_b * channel.nbar),
+            (_LOWER[0], channel.gamma_a * (channel.nbar + 1.0)),
+            (_LOWER[1], channel.gamma_b * (channel.nbar + 1.0)),
+            (_RAISE[0], channel.gamma_a * channel.nbar),
+            (_RAISE[1], channel.gamma_b * channel.nbar),
         ]
     elif isinstance(channel, IndependentDephasing):
-        pairs = [
-            (np.kron(SIGMA_Z, IDENTITY_2), channel.kappa_a / 2.0),
-            (np.kron(IDENTITY_2, SIGMA_Z), channel.kappa_b / 2.0),
-        ]
+        pairs = [(_PHASE[0], channel.kappa_a / 2.0), (_PHASE[1], channel.kappa_b / 2.0)]
     elif isinstance(channel, CollectiveDephasing):
-        inversion = 0.5 * (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z))
-        pairs = [(inversion, channel.kappa_c)]
+        pairs = [(_INVERSION, channel.kappa_c)]
     elif isinstance(channel, CustomChannel):
         pairs = list(channel.jumps)
     else:
@@ -223,19 +229,24 @@ def generator(channel: ChannelSpec, rho: DensityMatrix | np.ndarray) -> np.ndarr
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 4x4 matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
 def liouvillian(channel: ChannelSpec) -> np.ndarray:
     """16x16 matrix acting on row-major vectorized states.
 
     Uses ``vec(A X B) = (A kron B^T) vec(X)``, so each jump contributes
     ``rate (L kron conj(L) - (L^dag L kron I + I kron (L^dag L)^T) / 2)``.
+    Catalog jumps are shared read-only constants, and each Kronecker
+    product is one broadcast product with the entries of ``np.kron``.
     """
-    eye = np.eye(4, dtype=complex)
     out = np.zeros((16, 16), dtype=complex)
     for op, rate in jump_operators(channel):
         anti = op.conj().T @ op
         out += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
         )
     return out
 

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +74,6 @@ from .states import (
     DensityMatrix,
     ToleranceConfig,
     XState,
-    _unchecked_density,
     _x_matrices,
     embed_x,
     make_x,
@@ -110,16 +111,32 @@ CSV_HEADER = "t,negativity,min_pt_eig,min_eig,a,b,c,d,abs_w,abs_z"
 
 
 @dataclass(frozen=True, eq=False)
+class _StateView(Sequence):
+    """Read-only sequence over a frozen (n, 4, 4) stack of density
+    matrices; each access wraps its row in a new :class:`DensityMatrix`."""
+
+    stack: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, i) -> DensityMatrix:
+        return DensityMatrix(self.stack[operator.index(i)])
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution with per-sample diagnostics.
 
     Population arrays ``a..d`` are present only for X trajectories (the
     closed-form path); ``abs_w``/``abs_z`` record the anti-diagonal entry
-    magnitudes for every trajectory.
+    magnitudes for every trajectory.  ``states`` is a read-only sequence
+    view over the sampled matrices (``len``, indexing, iteration); each
+    access returns a new :class:`DensityMatrix` over a read-only row.
     """
 
     times: np.ndarray
-    states: tuple
+    states: Sequence
     negativity: np.ndarray
     min_pt_eig: np.ndarray
     min_eig: np.ndarray
@@ -251,10 +268,11 @@ def simulate(
     and ``sample_every`` is chosen to retain about ``DEFAULT_SAMPLES``
     samples.  The final sample lands on ``horizon`` exactly, after one
     shorter last step when ``horizon`` is not a multiple of ``dt``.  RK4
-    runs as powers of its one-step matrix ``P(dt)``: ``P(dt)^sample_every``
-    advances from one retained sample to the next, with the same result as
-    stepping up to roundoff.  All retained samples are re-validated
-    together; the earliest failing one raises
+    runs as powers of its one-step matrix ``P(dt)``: blocks of the hop
+    powers ``H^1..H^B``, ``H = P(dt)^sample_every`` and ``B`` about the
+    root of the sample count, advance ``B`` samples per batched product,
+    with the same result as stepping up to roundoff.  All retained samples
+    are re-validated together; the earliest failing one raises
     :class:`~esdkit.errors.StepTooLargeError`.  A bare ``XState`` is
     validated as :func:`~esdkit.states.make_x` would.
     """
@@ -267,8 +285,9 @@ def simulate(
     n_steps, h_last = _step_plan(horizon, dt)
     if sample_every is None:
         sample_every = max(1, int(np.ceil(n_steps / DEFAULT_SAMPLES)))
-    elif sample_every < 1:
-        raise ValidationError(f"sample_every must be >= 1, got {sample_every!r}")
+    elif not hasattr(type(sample_every), "__index__") or sample_every < 1:
+        # an integer is anything operator.index takes, as for range()
+        raise ValidationError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     ks = _retained_steps(n_steps, sample_every)
     times = np.minimum(np.asarray(ks, dtype=float) * dt, horizon)
 
@@ -285,18 +304,23 @@ def simulate(
             state0 = embed_x(x0)
         lv = liouvillian(channel)
         step = _rk4_map(lv, dt)
+        hops = len(ks) - 2  # samples reached by whole hops
+        vs = np.empty((len(ks), 16), dtype=complex)
+        vs[0] = state0.matrix.reshape(16)
         # a step too large for RK4 can overflow; _revalidate reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            hop = np.linalg.matrix_power(step, sample_every)
+            powers = [np.linalg.matrix_power(step, sample_every)]
+            for _ in range(1, math.isqrt(hops)):
+                powers.append(powers[0] @ powers[-1])
+            powers = np.stack(powers)
+            for i in range(0, hops, len(powers)):
+                block = powers[: hops - i]
+                vs[i + 1 : i + 1 + len(block)] = block @ vs[i]
             last = _rk4_map(lv, h_last) @ np.linalg.matrix_power(
                 step, ks[-1] - ks[-2] - 1
             )
-            vs = [state0.matrix.reshape(16)]
-            for _ in range(len(ks) - 2):
-                vs.append(hop @ vs[-1])
-            vs.append(last @ vs[-1])
-        raw = np.stack(vs).reshape(-1, 4, 4)
-        later, later_min = _revalidate(raw[1:], tol)
+            vs[-1] = last @ vs[-2]
+        later, later_min = _revalidate(vs[1:].reshape(-1, 4, 4), tol)
         stack = np.concatenate([state0.matrix[None], later])
         min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
         neg, min_pt = _pt_diagnostics(stack)
@@ -304,11 +328,10 @@ def simulate(
         abs_z = np.abs(stack[:, 1, 2])
 
     stack.setflags(write=False)
-    states = tuple(_unchecked_density(stack[i]) for i in range(stack.shape[0]))
     kwargs = {}
     if populations is not None:
         kwargs = dict(zip("abcd", populations))
-    return Trajectory(times, states, neg, min_pt, min_eig, abs_w, abs_z, **kwargs)
+    return Trajectory(times, _StateView(stack), neg, min_pt, min_eig, abs_w, abs_z, **kwargs)
 
 
 def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:

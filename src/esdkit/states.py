@@ -196,29 +196,34 @@ def _density_stack(
     """Validate an (n, 4, 4) stack as :func:`make_density` validates one
     matrix; return the exactly Hermitian stack and each lowest eigenvalue.
 
-    The first failing matrix raises; with ``first`` given, its message
-    names it as member ``first + position`` (counting from 1).
+    The lowest-indexed failing matrix raises, for the first check it fails;
+    with ``first`` given, its message names it as member ``first + position``
+    (counting from 1).
     """
-
-    def reject(error, bad: np.ndarray, describe) -> None:
-        if bad.any():
-            i = int(bad.argmax())
-            where = "" if first is None else f"member {first + i + 1}: "
-            raise error(where + describe(i))
-
-    reject(OutOfRangeError, ~np.isfinite(stack).all(axis=(1, 2)),
-           lambda i: "density matrix has non-finite entries")
-    adjoint = stack.conj().transpose(0, 2, 1)
-    asym = np.abs(stack - adjoint).max(axis=(1, 2))
-    reject(NotHermitianError, asym > tol.eps_psd, lambda i: (
-        f"density matrix deviates from Hermiticity by {asym[i]:.3e} (> {tol.eps_psd:.1e})"))
-    hermitian = 0.5 * (stack + adjoint)
-    drift = np.abs(hermitian.trace(axis1=1, axis2=2).real - 1.0)
-    reject(TraceNotOneError, drift > tol.eps_trace,
-           lambda i: f"trace deviates from 1 by {drift[i]:.3e} (> {tol.eps_trace:.1e})")
-    lowest = np.linalg.eigvalsh(hermitian)[:, 0]
-    reject(NotPositiveError, lowest < -tol.eps_psd,
-           lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol.eps_psd:.1e}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # from non-finite members, rejected first
+        adjoint = stack.conj().transpose(0, 2, 1)
+        asym = np.abs(stack - adjoint).max(axis=(1, 2))
+        hermitian = 0.5 * (stack + adjoint)
+        drift = np.abs(hermitian.trace(axis1=1, axis2=2).real - 1.0)
+    # only members before the first to fail a cheaper check need eigenvalues
+    cheap_bad = ~finite | (asym > tol.eps_psd) | (drift > tol.eps_trace)
+    k = int(cheap_bad.argmax()) if cheap_bad.any() else len(stack)
+    lowest = np.linalg.eigvalsh(hermitian[:k])[:, 0]
+    negative = lowest < -tol.eps_psd
+    i = int(negative.argmax()) if negative.any() else k
+    if i < len(stack):
+        where = "" if first is None else f"member {first + i + 1}: "
+        if not finite[i]:
+            raise OutOfRangeError(f"{where}density matrix has non-finite entries")
+        if asym[i] > tol.eps_psd:
+            raise NotHermitianError(f"{where}density matrix deviates from Hermiticity by "
+                                    f"{asym[i]:.3e} (> {tol.eps_psd:.1e})")
+        if drift[i] > tol.eps_trace:
+            raise TraceNotOneError(
+                f"{where}trace deviates from 1 by {drift[i]:.3e} (> {tol.eps_trace:.1e})")
+        raise NotPositiveError(
+            f"{where}minimum eigenvalue {lowest[i]:.3e} below -{tol.eps_psd:.1e}")
     return hermitian, lowest
 
 

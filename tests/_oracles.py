@@ -73,11 +73,12 @@ def charpoly_eigs(m):
 
 
 def decay_jumps(gamma_a, gamma_b, nbar):
-    """Jump list for independent amplitude damping at mean occupation nbar."""
+    """Jump list for independent amplitude damping at mean occupation nbar
+    (both lowering jumps first, in the library's summation order)."""
     return [
         (np.kron(SIGMA_MINUS, EYE2), gamma_a * (nbar + 1.0)),
-        (np.kron(SIGMA_PLUS, EYE2), gamma_a * nbar),
         (np.kron(EYE2, SIGMA_MINUS), gamma_b * (nbar + 1.0)),
+        (np.kron(SIGMA_PLUS, EYE2), gamma_a * nbar),
         (np.kron(EYE2, SIGMA_PLUS), gamma_b * nbar),
     ]
 
@@ -97,15 +98,15 @@ def collective_jumps(kappa_c):
 
 
 def lindblad_matrix(jumps):
-    """16x16 generator of drho/dt under row-major vectorization."""
+    """16x16 generator of drho/dt under row-major vectorization, from
+    ``np.kron`` products summed in the library's order."""
     lmat = np.zeros((16, 16), dtype=complex)
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
         anti = op.conj().T @ op
         lmat += rate * (
             np.kron(op, op.conj())
-            - 0.5 * np.kron(anti, EYE4)
-            - 0.5 * np.kron(EYE4, anti.T)
+            - 0.5 * (np.kron(anti, EYE4) + np.kron(EYE4, anti.T))
         )
     return lmat
 

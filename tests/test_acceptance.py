@@ -51,6 +51,9 @@ from _oracles import (
 )
 
 PURE_07_LITERAL = "x:0.7,0,0,0.3,0.45825756949558405,0,0,0"
+# a Bell-like state with one coherence outside the X pattern
+DENSE_LITERAL = ("dense:0.4:0,0.05:0,0:0,0.35:0, 0.05:0,0.1:0,0:0,0:0, "
+                 "0:0,0:0,0.1:0,0:0, 0.35:0,0:0,0:0,0.4:0")
 
 CHANNEL_BATTERY = (
     (IndependentDecay(1.0, 1.0, nbar=0.0), decay_jumps(1.0, 1.0, 0.0)),
@@ -292,6 +295,8 @@ def test_criterion_12_cli_outputs_byte_identical(capsys):
         ("classify", "--channel", "collective:1.0", "--samples", "50", "--seed", "3"),
         ("sweep", "--channel", "decay:1,1,0", "--family", "pure",
          "--grid", "a=0.55:0.95:9", "--jobs", "2"),
+        # a dense state takes the numeric (RK4) path
+        ("evolve", "--channel", "dephase:1,1", "--state", DENSE_LITERAL, "--horizon", "2"),
     )
     ok = True
     for args in commands:

@@ -136,6 +136,49 @@ def test_generator_matches_oracle_superoperator():
             np.testing.assert_allclose(direct, via_oracle, atol=1e-14)
 
 
+def _random_custom_jumps(seed):
+    rng = np.random.default_rng(seed)
+    ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)]
+    return list(zip(ops, (0.3, 0.0, 1.7)))
+
+
+KRON_CASES = [
+    (IndependentDecay(0.7, 1.3, nbar=0.4), decay_jumps(0.7, 1.3, 0.4)),
+    (IndependentDecay(0.7, 1.3, nbar=0.0), decay_jumps(0.7, 1.3, 0.0)),
+    (IndependentDecay(0.0, 1.3, nbar=0.4), decay_jumps(0.0, 1.3, 0.4)),
+    (IndependentDecay(0.7, 0.0, nbar=0.0), decay_jumps(0.7, 0.0, 0.0)),
+    (IndependentDephasing(0.5, 1.1), dephase_jumps(0.5, 1.1)),
+    (IndependentDephasing(0.0, 1.1), dephase_jumps(0.0, 1.1)),
+    (CollectiveDephasing(0.9), collective_jumps(0.9)),
+    (CustomChannel(tuple(_random_custom_jumps(5))), _random_custom_jumps(5)),
+]
+
+
+@pytest.mark.parametrize("channel, jumps", KRON_CASES)
+def test_liouvillian_and_jumps_equal_kron_builders(channel, jumps):
+    # same products in the same order, so equality is exact, not approximate
+    expected = [(op, rate) for op, rate in jumps if rate > 0.0]
+    got = jump_operators(channel)
+    assert len(got) == len(expected)
+    for (op, rate), (ref_op, ref_rate) in zip(got, expected):
+        assert rate == ref_rate
+        assert np.array_equal(op, ref_op)
+    assert np.array_equal(liouvillian(channel), lindblad_matrix(jumps))
+
+
+def test_jump_operators_are_shared_read_only():
+    for channel, _ in KRON_CASES:
+        for op, _ in jump_operators(channel):
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+    # catalog channels hand out the same constants, not fresh copies
+    assert jump_operators(IndependentDecay(1.0, 2.0))[0][0] is jump_operators(
+        IndependentDecay(3.0, 0.5, nbar=1.0))[0][0]
+    assert jump_operators(CollectiveDephasing(1.0))[0][0] is jump_operators(
+        CollectiveDephasing(2.0))[0][0]
+
+
 def test_liouvillian_consistent_with_generator():
     for channel in (
         IndependentDecay(1.0, 0.5, nbar=0.2),

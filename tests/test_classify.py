@@ -317,6 +317,22 @@ def test_hostile_member_fails_loudly(name):
         classify_position(hostile)
 
 
+def test_lowest_failing_member_is_named():
+    # member 2 is off unit trace; member 3 fails the earlier non-finite check
+    nan_member = np.eye(4, dtype=complex) / 4.0
+    nan_member[1, 2] = np.nan
+    members = (maximally_mixed(), DensityMatrix(np.eye(4, dtype=complex) / 2.0),
+               DensityMatrix(nan_member))
+    with pytest.raises(TraceNotOneError, match="^member 2: trace deviates from 1 by "):
+        classify_set(ExplicitSamples(members))
+    with pytest.raises(OutOfRangeError, match="^member 2: density matrix has non-finite"):
+        classify_set(ExplicitSamples(members[::2] + members[1:2]))
+    # a positivity failure ahead of a cheaper failure is still the one named
+    not_positive = DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(NotPositiveError, match="^member 2: minimum eigenvalue "):
+        classify_set(ExplicitSamples((members[0], not_positive, members[2])))
+
+
 def test_hostile_member_in_a_later_chunk_is_named():
     members = (maximally_mixed(),) * (_CLASSIFY_MEMBERS + 1) + (
         DensityMatrix(np.eye(4, dtype=complex) / 2.0),

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from esdkit import (
     CollectiveDephasing,
     CustomChannel,
     DeathReport,
+    DensityMatrix,
     IndependentDecay,
     IndependentDephasing,
     Trajectory,
@@ -140,6 +142,53 @@ def test_simulate_numeric_samples_match_looped_rk4():
         np.testing.assert_allclose(state.matrix, ref, atol=1e-12)
 
 
+# (horizon, retained samples) at dt = 1e-3 and sample_every = 3: no whole
+# hop, one, two, a perfect square of hops, and a partial last block, the
+# last also with a short final step of 5e-4
+BLOCK_CASES = [(0.003, 2), (0.006, 3), (0.009, 4), (0.030, 11), (0.033, 12), (0.0305, 12)]
+
+
+@pytest.mark.parametrize("horizon, retained", BLOCK_CASES)
+def test_simulate_blocked_hops_match_looped_rk4(horizon, retained):
+    channel = IndependentDecay(0.8, 1.2, nbar=0.3)
+    lmat = lindblad_matrix(decay_jumps(0.8, 1.2, 0.3))
+    rho = random_density(12)
+    traj = simulate(rho, channel, horizon=horizon, dt=1e-3, sample_every=3)
+    assert len(traj.times) == retained and traj.times[-1] == horizon
+    for t, state in zip(traj.times, traj.states):
+        ref = rk4_evolve(lmat, rho.matrix, float(t), 1e-3)
+        ref = ref / np.trace(ref).real
+        np.testing.assert_allclose(state.matrix, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_trajectory_states_view(dense):
+    state0 = random_density(7) if dense else random_x(7)
+    traj = simulate(state0, IndependentDecay(1.0, 0.6, 0.2), horizon=1.0, sample_every=150)
+    assert traj.is_x is not dense
+    states = traj.states
+    n = len(traj.times)
+    assert isinstance(states, Sequence) and not isinstance(states, tuple)
+    assert len(states) == n == 9
+    start = state0.matrix if dense else embed_x(state0).matrix
+    np.testing.assert_array_equal(states[0].matrix, start)
+    np.testing.assert_array_equal(states[-1].matrix, states[n - 1].matrix)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[i]
+    rows = list(states)
+    assert len(rows) == n
+    for i, rho in enumerate(rows):
+        assert isinstance(rho, DensityMatrix)
+        np.testing.assert_array_equal(rho.matrix, states.stack[i])
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+    # each access builds a new wrapper over the same read-only row
+    assert states[1] is not states[1]
+    assert not states.stack.flags.writeable
+
+
 def test_simulate_numeric_coarse_step_fails_validation():
     with pytest.raises(StepTooLargeError):
         simulate(random_density(9), IndependentDecay(1.0, 1.0), horizon=40.0, dt=4.0)
@@ -154,6 +203,11 @@ def test_simulate_validation():
         simulate(x, channel, horizon=1.0, dt=-0.1)
     with pytest.raises(ValidationError):
         simulate(x, channel, horizon=1.0, sample_every=0)
+    for value in (2.5, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="sample_every must be an integer"):
+            simulate(x, channel, horizon=1.0, sample_every=value)
+    # anything operator.index takes is an integer
+    assert len(simulate(x, channel, horizon=1.0, sample_every=np.int64(250)).times) == 5
     with pytest.raises(ValidationError):
         simulate(np.eye(4) / 4.0, channel, horizon=1.0)
     for value in (float("nan"), float("inf")):
