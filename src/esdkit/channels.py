@@ -268,6 +268,8 @@ def _step_plan(t: float, dt: float) -> tuple[int, float]:
     ``min(dt, t - (n - 1) dt)``, with ``n = ceil(t / dt)`` robust to
     roundoff in ``t / dt``."""
     n_steps = max(1, int(np.ceil(t / dt * (1.0 - 1e-12))))
+    # the fudge drops floor(1e-12 t / dt) whole steps once t / dt >= 1e12
+    n_steps += max(0, round((t - n_steps * dt) / dt))
     return n_steps, min(dt, t - (n_steps - 1) * dt)
 
 

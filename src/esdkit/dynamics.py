@@ -580,15 +580,29 @@ def estimate_asymptote(
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Serialize a trajectory; population cells are empty for non-X runs."""
+    """Serialize a trajectory; population cells are empty for non-X runs.
+
+    Each cell holds ``repr`` of its float, byte for byte.  Each distinct
+    magnitude is formatted once and a ``-`` prefixed where the sign bit
+    is set (``repr(-x) == "-" + repr(x)`` for every float but NaN), since
+    columns repeat magnitudes: dephasing freezes the populations, and
+    ``min_pt_eig`` is ``-negativity`` while the state is entangled.
+    """
     pops = (traj.a, traj.b, traj.c, traj.d) if traj.is_x else ()
-    rows = np.column_stack((
+    table = np.column_stack((
         traj.times, traj.negativity, traj.min_pt_eig, traj.min_eig, *pops,
         traj.abs_w, traj.abs_z,
-    )).tolist()
+    ))
+    # magnitudes by their bits, signs put back below; raveled, so the
+    # inverse is 1-D on every numpy
+    bits, inverse = np.unique(np.abs(table).view(np.int64).ravel(), return_inverse=True)
+    cells = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = cells[inverse].reshape(table.shape)
+    negative = np.signbit(table) & ~np.isnan(table)
+    cells[negative] = "-" + cells[negative]
     gap = "," if traj.is_x else ",,,,,"
     lines = [CSV_HEADER]
-    lines += [",".join(map(repr, row[:-2])) + gap + ",".join(map(repr, row[-2:])) for row in rows]
+    lines += [",".join(row[:-2]) + gap + ",".join(row[-2:]) for row in cells.tolist()]
     return "\n".join(lines) + "\n"
 
 

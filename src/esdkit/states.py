@@ -201,10 +201,12 @@ def _density_stack(
     (counting from 1).
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # from non-finite members, rejected first
+    # non-finite members and finite ones whose differences or trace overflow
+    # are rejected below; halving first keeps a Hermitian pair near 1e308 finite
+    with np.errstate(over="ignore", invalid="ignore"):
         adjoint = stack.conj().transpose(0, 2, 1)
         asym = np.abs(stack - adjoint).max(axis=(1, 2))
-        hermitian = 0.5 * (stack + adjoint)
+        hermitian = 0.5 * stack + 0.5 * adjoint
         drift = np.abs(hermitian.trace(axis1=1, axis2=2).real - 1.0)
     # only members before the first to fail a cheaper check need eigenvalues
     cheap_bad = ~finite | (asym > tol.eps_psd) | (drift > tol.eps_trace)

@@ -20,6 +20,7 @@ from esdkit.channels import (
 )
 from esdkit.classify import _PROBE_POPULATIONS, _coherence_extremes
 from esdkit.dynamics import (
+    CSV_HEADER,
     DEFAULT_SAMPLES,
     VERDICT_ASYMPTOTIC,
     VERDICT_FINITE,
@@ -314,3 +315,17 @@ def scenario_to_json_reference(label):
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def trajectory_to_csv_reference(traj):
+    """Trajectory CSV with ``repr`` called on every cell, the writer's
+    former body."""
+    pops = (traj.a, traj.b, traj.c, traj.d) if traj.is_x else ()
+    rows = np.column_stack((
+        traj.times, traj.negativity, traj.min_pt_eig, traj.min_eig, *pops,
+        traj.abs_w, traj.abs_z,
+    )).tolist()
+    gap = "," if traj.is_x else ",,,,,"
+    lines = [CSV_HEADER]
+    lines += [",".join(map(repr, row[:-2])) + gap + ",".join(map(repr, row[-2:])) for row in rows]
+    return "\n".join(lines) + "\n"

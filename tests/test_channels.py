@@ -36,6 +36,7 @@ from esdkit import (
     thermal_product,
     x_closed_curves,
 )
+from esdkit.channels import _step_plan
 from esdkit.errors import (
     OutOfRangeError,
     ParseError,
@@ -238,6 +239,16 @@ def test_propagate_numeric_time_validation():
     with pytest.raises(ValidationError):
         propagate_numeric(rho, channel, 1.0, dt=2.0)
     assert propagate_numeric(rho, channel, 0.0) is rho
+
+
+@pytest.mark.parametrize("t", [5.0, 1e9, 1e10])
+def test_step_plan_ends_at_t(t):
+    # the roundoff fudge in ceil(t / dt) used to drop floor(1e-12 t / dt)
+    # whole steps, one at t / dt = 1e12 and ten at 1e13
+    n_steps, last = _step_plan(t, 1e-3)
+    assert n_steps == round(t / 1e-3)
+    assert 0.0 < last <= 1e-3
+    assert (n_steps - 1) * 1e-3 + last == t
 
 
 def test_propagate_numeric_matches_oracle_rk4():

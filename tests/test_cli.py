@@ -428,6 +428,13 @@ def dense_literal(matrix) -> str:
     return "dense:" + ",".join(f"{v.real!r}:{v.imag!r}" for v in np.ravel(matrix).astype(complex).tolist())
 
 
+def with_coherence(upper, lower) -> str:
+    """diag(1/2, 1/2, 0, 0) with ``upper`` at (1,2) and ``lower`` at (2,1)."""
+    matrix = np.diag([0.5, 0.5, 0.0, 0.0])
+    matrix[0, 1], matrix[1, 0] = upper, lower
+    return dense_literal(matrix)
+
+
 GOOD_X = "x:0.4,0.1,0.2,0.3,0.1,0.05,0,0.1"
 GOOD_DENSE = dense_literal(np.eye(4) / 4.0)
 BAD_X = {
@@ -444,6 +451,10 @@ BAD_DENSE = {
     "not-hermitian": dense_literal(np.eye(4) / 4.0 + np.triu(np.ones((4, 4)), 1) * 1e-3),
     "trace-off": dense_literal(np.eye(4) / 2.0),
     "negative-eigenvalue": dense_literal(np.diag([0.5, 0.5, 0.25, -0.25])),
+    # finite entries near the float maximum, whose hermitization overflows
+    "overflow-trace": dense_literal(np.diag([1e308, 1e308, 0.0, 0.0])),
+    "overflow-hermiticity": with_coherence(1e308, -1e308),
+    "overflow-eigenvalue": with_coherence(1e308, 1e308),
 }
 BAD_SETS = {
     **{f"x-{name}": [GOOD_DENSE, GOOD_DENSE, bad] for name, bad in BAD_X.items()},
@@ -465,3 +476,15 @@ def test_set_file_names_first_bad_member(name, tmp_path, capsys):
     assert cli.main(["classify", "--set-file", path]) == 2
     expected = f"error: --set-file {path!r} state {first_bad + 1}: {own.value}\n"
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("name,message", [
+    ("overflow-trace", "trace deviates from 1 by inf"),
+    ("overflow-hermiticity", "density matrix deviates from Hermiticity by inf"),
+    ("overflow-eigenvalue", "minimum eigenvalue -1.000e+308"),
+])
+def test_dense_state_near_float_max_exits_2(name, message, capsys):
+    # rejected by the ordinary checks, with no numpy RuntimeWarning
+    argv = ["evolve", "--channel", "dephase:1,1", "--horizon", "1", "--state", BAD_DENSE[name]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid --state: {message} ")

@@ -61,6 +61,7 @@ from _oracles import (
     decay_jumps,
     lindblad_matrix,
     rk4_evolve,
+    trajectory_to_csv_reference,
 )
 
 
@@ -85,6 +86,12 @@ def test_simulate_closed_path_basics():
     n = len(traj.times)
     assert len(traj.states) == n == len(traj.negativity) == len(traj.a)
     np.testing.assert_allclose(traj.a + traj.b + traj.c + traj.d, 1.0, atol=1e-12)
+
+
+def test_simulate_ends_at_huge_horizons():
+    # 1e13 steps of the default dt: the step plan must not drop whole steps
+    traj = simulate(random_x(1), IndependentDecay(1.0, 1.0, 0.0), horizon=1e10)
+    assert traj.times[-1] == 1e10
 
 
 def test_simulate_closed_diagnostics_match_dense_eigensolves():
@@ -595,6 +602,57 @@ def test_trajectory_csv_round_trip_dense():
     cols = parse_trajectory_csv(text)
     assert cols["a"] is None and cols["d"] is None
     np.testing.assert_array_equal(cols["negativity"], traj.negativity)
+
+
+def hand_built_trajectory(is_x):
+    """Six samples of cells that stress ``repr``: both zeros, subnormals,
+    the exponent forms (>= 1e16 and < 1e-4), infinities, a NaN with its
+    sign bit set, and equal magnitudes of opposite sign in other columns."""
+    def col(*values):
+        return np.array(values)
+
+    pops = dict(
+        a=col(0.25, -0.0, 0.0, 1e16, 0.25, 1.0),
+        b=col(0.25, 0.25, -0.25, 5e-324, 2.5e-5, 0.0),
+        c=col(-0.0, 0.25, 0.25, -5e-324, -2.5e-5, 0.0),
+        d=col(0.5, 1e-300, -1e-300, 2.2250738585072014e-308, 0.25, 0.0),
+    ) if is_x else {}
+    return Trajectory(
+        times=col(0.0, 1e-5, 0.1, 1.0, 1e16, 1e300),
+        states=[maximally_mixed()] * 6,
+        negativity=col(0.0, -0.0, 0.25, 1e-4, 9.99e-5, np.inf),
+        min_pt_eig=col(-0.0, 0.0, -0.25, -1e-4, -9.99e-5, -np.inf),
+        min_eig=col(0.1, -0.1, 1e16, -1e16, 1.2345678901234567e22, -np.nan),
+        abs_w=col(0.25, 0.5, 5e-324, 0.1, 1e-5, np.nan),
+        abs_z=col(0.5, 0.25, -5e-324, 1e-5, -0.1, 2.2250738585072014e-308),
+        **pops,
+    )
+
+
+CSV_CASES = {
+    **{f"closed-{format_channel_literal(channel)}": (random_x(3), channel)
+       for channel in CATALOG_SAMPLE + [IndependentDephasing(0.0, 1.0)]},
+    "closed-b-equals-c": (make_x(0.3, 0.2, 0.2, 0.3, 0.25, 0.15), IndependentDecay(1.0, 0.5, 0.1)),
+    "rk4-dense": (random_density(8), IndependentDecay(1.0, 0.5, 0.2)),
+    "custom-channel": (random_x(4), as_custom(IndependentDecay(1.0, 1.0, 0.2))),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_CASES))
+def test_trajectory_csv_bytes_equal_repr_reference(name):
+    # string equality: assert_array_equal would merge 0.0 and -0.0
+    state, channel = CSV_CASES[name]
+    traj = simulate(state, channel, horizon=3.0)
+    assert trajectory_to_csv(traj) == trajectory_to_csv_reference(traj)
+
+
+@pytest.mark.parametrize("is_x", [True, False], ids=["x", "dense"])
+def test_trajectory_csv_bytes_equal_repr_reference_on_edge_floats(is_x):
+    traj = hand_built_trajectory(is_x)
+    text = trajectory_to_csv(traj)
+    assert text == trajectory_to_csv_reference(traj)
+    assert "-0.0" in text and "5e-324" in text and "-5e-324" in text
+    assert ",nan," in text and "-nan" not in text
 
 
 def test_trajectory_csv_parse_errors():
