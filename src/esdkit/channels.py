@@ -284,12 +284,14 @@ def _revalidate(
     :class:`StepTooLargeError`; otherwise returns the normalized stack and
     the lowest eigenvalue of each of its matrices.
     """
-    m = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-    traces = np.trace(m, axis1=-2, axis2=-1).real
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    # overflow leaves NaN traces, and every comparison with NaN is False
-    ok = finite & (np.abs(traces - 1.0) <= tol.eps_trace)
-    m = m / np.where(ok, traces, 1.0)[:, None, None]
+    # a step too large for RK4 can overflow, which the checks below report: it
+    # leaves NaN traces, and every comparison with NaN is False
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        traces = np.trace(m, axis1=-2, axis2=-1).real
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        ok = finite & (np.abs(traces - 1.0) <= tol.eps_trace)
+        m = m / np.where(ok, traces, 1.0)[:, None, None]
     lowest = np.full(len(m), np.inf)
     lowest[ok] = np.linalg.eigvalsh(m[ok])[:, 0]
     bad = ~ok | (lowest < -tol.eps_psd)

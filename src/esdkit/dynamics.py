@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._floattext import format_rows
 from .channels import (
     ChannelSpec,
     CollectiveDephasing,
@@ -582,28 +583,18 @@ def estimate_asymptote(
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory; population cells are empty for non-X runs.
 
-    Each cell holds ``repr`` of its float, byte for byte.  Each distinct
-    magnitude is formatted once and a ``-`` prefixed where the sign bit
-    is set (``repr(-x) == "-" + repr(x)`` for every float but NaN), since
-    columns repeat magnitudes: dephasing freezes the populations, and
-    ``min_pt_eig`` is ``-negativity`` while the state is entangled.
+    Each cell holds ``repr`` of its float, byte for byte, spelled for the
+    whole table at once by :func:`esdkit._floattext.format_rows`; the
+    empty population cells are the ``min_eig`` column's separator.
     """
     pops = (traj.a, traj.b, traj.c, traj.d) if traj.is_x else ()
     table = np.column_stack((
         traj.times, traj.negativity, traj.min_pt_eig, traj.min_eig, *pops,
         traj.abs_w, traj.abs_z,
     ))
-    # magnitudes by their bits, signs put back below; raveled, so the
-    # inverse is 1-D on every numpy
-    bits, inverse = np.unique(np.abs(table).view(np.int64).ravel(), return_inverse=True)
-    cells = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    cells = cells[inverse].reshape(table.shape)
-    negative = np.signbit(table) & ~np.isnan(table)
-    cells[negative] = "-" + cells[negative]
     gap = "," if traj.is_x else ",,,,,"
-    lines = [CSV_HEADER]
-    lines += [",".join(row[:-2]) + gap + ",".join(row[-2:]) for row in cells.tolist()]
-    return "\n".join(lines) + "\n"
+    separators = [",", ",", ",", gap] + [","] * len(pops) + [",", "\n"]
+    return CSV_HEADER + "\n" + format_rows(table, separators)
 
 
 def parse_trajectory_csv(text: str) -> dict[str, np.ndarray | None]:

@@ -154,12 +154,16 @@ class HermitianObservable:
 
 def _hermitize(matrix: np.ndarray, eps: float, what: str) -> np.ndarray:
     """Check Hermiticity within ``eps`` and return the exact average."""
-    asym = float(np.abs(matrix - matrix.conj().T).max())
+    adjoint = matrix.conj().T
+    # as in _density_stack, halving first keeps a Hermitian pair near 1e308 finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.abs(matrix - adjoint).max())
+        hermitian = 0.5 * matrix + 0.5 * adjoint
     if asym > eps:
         raise NotHermitianError(
             f"{what} deviates from Hermiticity by {asym:.3e} (> {eps:.1e})"
         )
-    return 0.5 * (matrix + matrix.conj().T)
+    return hermitian
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 contract checks at the end call ``esdkit.cli.main`` in process."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -488,3 +489,18 @@ def test_dense_state_near_float_max_exits_2(name, message, capsys):
     argv = ["evolve", "--channel", "dephase:1,1", "--horizon", "1", "--state", BAD_DENSE[name]]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid --state: {message} ")
+
+
+@pytest.mark.parametrize("dt", ["3", "30"])
+def test_step_too_large_for_dense_state_exits_3(dt, capsys):
+    # the oversized RK4 steps overflow; revalidation reports the failure,
+    # with no numpy RuntimeWarning
+    state = dense_literal(np.array([[0.25, 0.1, 0, 0.1], [0.1, 0.25, 0, 0],
+                                    [0, 0, 0.25, 0], [0.1, 0, 0, 0.25]]))
+    argv = ["evolve", "--channel", "decay:1,1,0", "--horizon", "3000", "--dt", dt,
+            "--state", state]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: minimum eigenvalue -\S+ after integration; reduce dt\n",
+                        captured.err)

@@ -93,6 +93,18 @@ def test_eigenvalues_hermitian_rejects_asymmetry():
         eigenvalues_hermitian(m)
 
 
+def test_eigenvalues_hermitian_near_float_max():
+    # hermitized without overflow (a RuntimeWarning fails the test), and an
+    # anti-Hermitian pair whose difference overflows reads as deviation inf
+    m = np.zeros((4, 4))
+    m[0, 1] = m[1, 0] = 1e308
+    np.testing.assert_allclose(eigenvalues_hermitian(m) / 1e308, [-1.0, 0.0, 0.0, 1.0],
+                               atol=1e-14)
+    m[1, 0] = -1e308
+    with pytest.raises(NotHermitianError, match="deviates from Hermiticity by inf"):
+        eigenvalues_hermitian(m)
+
+
 def test_negativity_reference_values():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
         np.testing.assert_allclose(negativity(embed_x(bell(kind))), 0.5, atol=1e-14)
