@@ -5,10 +5,11 @@ doubles", 2020) on ``uint64`` arrays, each 128-bit product split into 32-bit
 limbs: the shortest decimal that reads back as the float, the closer of two,
 ties to even, as CPython's ``dtoa.c``.  Unlike Java's ``Double.toString``,
 subnormals keep one digit and the shorter candidate is tried at every length.
-Each cell is a column of fixed slots: a sign, the ``0.000`` of small
-positional numbers, 17 digit slots each followed by a dot slot, ``e±ddd`` and
-the column's separator.  Unused slots hold NUL, which ``translate`` drops.
-Zero is laid out as 1.0 with a ``0`` digit; infinities and NaN use ``repr``.
+Each float is spelled into a column of fixed slots: a sign, the ``0.000`` of
+small positional numbers, 17 digit slots each followed by a dot slot and
+``e±ddd``; transposed, with its table column's separator, that is its cell.
+Unused slots hold NUL, which ``translate`` drops.  Zero is laid out as 1.0
+with a ``0`` digit; infinities and NaN use ``repr``.
 """
 
 from __future__ import annotations
@@ -127,27 +128,55 @@ def _fill(slots: np.ndarray, bits: np.ndarray) -> None:
     slots[40:45] = affix[5:]
 
 
-def format_rows(table: np.ndarray, separators: list[str]) -> str:
-    """The rows of a float64 table as text, row-major, each cell ``repr`` of
-    its float followed by its column's separator."""
-    width = max(map(len, separators))
-    seps = [np.frombuffer(s.encode().ljust(width, b"\0"), np.uint8) for s in separators]
-    values = table.ravel()
+def _spell(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write the text of each float into slots 0-44 of its row of ``cells``,
+    ``_CHUNK`` floats at a time."""
     bits = np.abs(values).view(_U64)
     stand_in = np.where((bits == 0) | (bits >= _INF), _U64(0x3FF0000000000000), bits)  # 1.0
-    # one column of slots per cell, for a chunk of whole rows at a time
-    slots = np.empty((45 + width, max(1, _CHUNK // len(seps)) * len(seps)), np.uint8)
-    slots[45:] = np.tile(np.stack(seps, axis=1), slots.shape[1] // len(seps))
-    text = []
-    for lo in range(0, len(values), slots.shape[1]):
-        chunk = slice(lo, lo + slots.shape[1])
-        cells = slots[:, : len(values[chunk])]
-        cells[0] = ord("-") * (np.signbit(values[chunk]) & ~np.isnan(values[chunk]))
-        _fill(cells, stand_in[chunk])
-        cells[6] -= bits[chunk] == 0  # 1.0 becomes 0.0
+    slots = np.empty((45, min(_CHUNK, len(values))), np.uint8)
+    for lo in range(0, len(values), _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        part = slots[:, : len(values[chunk])]
+        part[0] = ord("-") * (np.signbit(values[chunk]) & ~np.isnan(values[chunk]))
+        _fill(part, stand_in[chunk])
+        part[6] -= bits[chunk] == 0  # 1.0 becomes 0.0
         for i in np.flatnonzero(bits[chunk] >= _INF):
             spelled = np.frombuffer(repr(abs(float(values[lo + i]))).encode(), np.uint8)
-            cells[1:45, i] = 0
-            cells[6 : 6 + 2 * len(spelled) : 2, i] = spelled
-        text.append(cells.T.tobytes().translate(None, b"\0"))
+            part[1:, i] = 0
+            part[6 : 6 + 2 * len(spelled) : 2, i] = spelled
+        cells[chunk, :45] = part.T
+
+
+def format_rows(table: np.ndarray, separators: list[str]) -> str:
+    """The rows of a float64 table as text, row-major, each cell ``repr`` of
+    its float followed by its column's separator.
+
+    A column's trailing run of floats bitwise equal to its last (a dead
+    negativity, a frozen population) is spelled once and its cell copied
+    down the run.
+    """
+    width = max(map(len, separators))
+    seps = np.stack([np.frombuffer(s.encode().ljust(width, b"\0"), np.uint8)
+                     for s in separators])
+    columns = len(separators)
+    bits = table.view(_U64)
+    # the first row of each column's run, compared by bits: 0.0 and -0.0
+    # differ; a row above row 0 differs, so a constant column's run is all of it
+    differs = np.vstack((np.ones((1, columns), bool), bits != bits[-1:]))
+    first = len(table) - differs[::-1].argmax(axis=0)
+    step = max(1, _CHUNK // columns)
+    text = []
+    for lo in range(0, len(table), _CHUNK):
+        block = table[lo : lo + _CHUNK]
+        # spelled: each column's cells down to its run's first; one if the
+        # run began in an earlier block
+        counts = np.clip(first + 1 - lo, 1, len(block))
+        heads = np.concatenate([block[:n, j] for j, n in enumerate(counts.tolist())])
+        cells = np.empty((len(heads), 45 + width), np.uint8)
+        _spell(heads, cells)
+        cells[:, 45:] = np.repeat(seps, counts, axis=0)
+        # row i of column j is its head min(i, counts[j] - 1)
+        index = np.minimum(np.arange(len(block))[:, None], counts - 1) + np.cumsum(counts) - counts
+        text += [cells.take(index[i : i + step], axis=0).tobytes().translate(None, b"\0")
+                 for i in range(0, len(block), step)]
     return b"".join(text).decode("ascii")

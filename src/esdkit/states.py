@@ -422,11 +422,18 @@ def bell_mixture(weights) -> XState:
 
 def random_density(seed: int) -> DensityMatrix:
     """Hilbert-Schmidt random state: G G^dag / tr(G G^dag), G complex Ginibre."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    return make_density(m)
+    return DensityMatrix(_frozen(_random_density_stack([seed])[0]))
+
+
+def _random_density_stack(seeds) -> np.ndarray:
+    """The (n, 4, 4) stack of :func:`random_density` matrices, bit for bit:
+    each seed draws its Ginibre matrix from its own generator, and the stack
+    is validated once."""
+    draws = np.array([np.random.default_rng(seed).standard_normal((2, 4, 4)) for seed in seeds])
+    g = draws[:, 0] + 1j * draws[:, 1]
+    m = g @ g.conj().transpose(0, 2, 1)
+    m /= m.trace(axis1=1, axis2=2).real[:, None, None]
+    return _density_stack(m)[0]
 
 
 def random_x(seed: int) -> XState:
@@ -534,6 +541,32 @@ def _x_fields(body: str) -> list[float]:
         raise ParseError(f"x literal has a non-numeric field in {body!r}") from None
 
 
+# the commas and colons of one x: and one dense: literal, in order
+_X_SEPARATORS = "," * 7
+_DENSE_SEPARATORS = ":," * 15 + ":"
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",:")))
+
+
+def _literal_numbers(bodies: list[str], prefix: str, separators: str) -> np.ndarray:
+    """The numbers of stripped literals in one form, a row each, read with one
+    join, split and ``map(float, ...)``.
+
+    Raises :class:`ParseError` unless each literal's commas and colons are
+    ``separators`` in order (then, and only then, its items are the ones
+    :func:`parse_state_literal` reads), and ``float``'s ``ValueError``.
+    """
+    texts = [body[len(prefix):] for body in bodies]
+    joined = ",".join(texts)
+    found = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    # equal totals do not place the separators, so each literal keeps its commas
+    commas = separators.count(",")
+    if (found != ",".join([separators] * len(texts)).encode()
+            or any(text.count(",") != commas for text in texts)):
+        raise ParseError(f"a {prefix} literal does not have {commas + 1} fields")
+    numbers = list(map(float, joined.replace(":", ",").split(","))) if texts else []
+    return np.array(numbers).reshape(len(texts), len(separators) + 1)
+
+
 def _literal_stack(texts: list[str], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The (n, 4, 4) stack of the states :func:`parse_state_literal` reads
     from ``texts``, validated as one stack per form.  If any fails, the
@@ -545,8 +578,9 @@ def _literal_stack(texts: list[str], tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     try:
         if len(x_at) + len(dense_at) != len(bodies):
             raise ParseError("state literal must start with 'x:' or 'dense:'")
-        x = np.array([_x_fields(bodies[k]) for k in x_at]).reshape(-1, 8)
-        dense = np.array([parse_dense_entries(bodies[k]) for k in dense_at]).reshape(-1, 4, 4)
+        x = _literal_numbers([bodies[k] for k in x_at], "x:", _X_SEPARATORS)
+        dense = _literal_numbers([bodies[k] for k in dense_at], "dense:", _DENSE_SEPARATORS)
+        dense = dense.view(complex).reshape(-1, 4, 4)
         stack = np.empty((len(bodies), 4, 4), dtype=complex)
         coherences = np.ascontiguousarray(x[:, 4:]).view(complex).T  # w and z
         stack[x_at] = _x_stack((*x[:, :4].T, *coherences), tol)

@@ -39,7 +39,7 @@ from esdkit import (
     x_entangled,
 )
 from esdkit.entanglement import _partial_transpose_many
-from esdkit.states import DEFAULT_TOL
+from esdkit.states import DEFAULT_TOL, _random_density_stack
 
 from _cli import cli_env
 from _oracles import (
@@ -246,9 +246,9 @@ def test_criterion_09_interior_attractor_forces_finite_death(capsys):
 
 def test_criterion_10_separable_fraction_positive_measure(capsys):
     total = 100_000
-    stack = np.empty((total, 4, 4), dtype=complex)
-    for seed in range(total):
-        stack[seed] = random_density(seed).matrix
+    # random_density(seed) for every seed, bit for bit, in stacks of 10,000
+    stack = np.concatenate([_random_density_stack(range(lo, lo + 10_000))
+                            for lo in range(0, total, 10_000)])
     # is_entangled_ppt over the whole stack: the partial transpose of an
     # exactly Hermitian matrix is exactly Hermitian, so no symmetrization
     lowest = np.linalg.eigvalsh(_partial_transpose_many(stack))[:, 0]

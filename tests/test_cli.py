@@ -456,6 +456,12 @@ BAD_DENSE = {
     "overflow-trace": dense_literal(np.diag([1e308, 1e308, 0.0, 0.0])),
     "overflow-hermiticity": with_coherence(1e308, -1e308),
     "overflow-eigenvalue": with_coherence(1e308, 1e308),
+    # the right totals of commas and colons, in the wrong places
+    "misplaced-colon": GOOD_DENSE.replace("0.25:0.0,0.0:0.0,", "0.25:0.0:0.0,0.0,", 1),
+    "space-inside-number": GOOD_DENSE.replace("0.25:0.0", "0.2 5:0.0", 1),
+    "double-underscore": GOOD_DENSE.replace("0.25:0.0", "0.2__5:0.0", 1),
+    "inf": GOOD_DENSE.replace("0.25:0.0", "inf:0.0", 1),
+    "nan": GOOD_DENSE.replace("0.0:0.0", "0.0:nan", 1),
 }
 BAD_SETS = {
     **{f"x-{name}": [GOOD_DENSE, GOOD_DENSE, bad] for name, bad in BAD_X.items()},
@@ -463,6 +469,10 @@ BAD_SETS = {
     "prefix": [GOOD_X, GOOD_DENSE, "y:0.25,0.25,0.25,0.25"],
     "dense-value-then-x-syntax": [GOOD_X, BAD_DENSE["trace-off"], BAD_X["field-count"]],
     "x-syntax-then-dense-value": [GOOD_DENSE, BAD_X["field-count"], BAD_DENSE["trace-off"]],
+    # one entry moved to the member before: joined, they read as two good ones
+    "dense-entry-moved-up": [GOOD_X, GOOD_DENSE + ",0.25:0.0",
+                             GOOD_DENSE.replace("0.25:0.0,", "", 1)],
+    "x-field-moved-up": [GOOD_DENSE, GOOD_X + ",0.4", GOOD_X.replace("0.4,", "", 1)],
 }
 
 

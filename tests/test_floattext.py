@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from esdkit._floattext import format_rows
+from esdkit._floattext import _CHUNK, format_rows
 
 
 def assert_repr(values):
@@ -64,3 +64,64 @@ def test_separators_follow_their_columns_row_major():
     table = np.array([[0.5, -1e-5, 3.0], [1e16, 0.0, -np.inf]] * 700)
     expected = "0.5,-1e-05,,,,,3.0\n1e+16,0.0,,,,,-inf\n" * 700
     assert format_rows(table, [",", ",,,,,", "\n"]) == expected
+
+
+# --- trailing runs: each column's cells bitwise equal to its last are spelled once
+
+def assert_table(table, separators):
+    table = np.asarray(table, dtype=np.float64)
+    expected = "".join(repr(v) + sep for row in table.tolist() for v, sep in zip(row, separators))
+    text = format_rows(table, separators)
+    if text != expected:
+        wrong = [(i, want, got) for i, (want, got)
+                 in enumerate(zip(expected.split("\n"), text.split("\n"))) if want != got]
+        pytest.fail(f"{len(wrong)} rows differ from repr (row, expected, got): {wrong[:3]}")
+
+
+def test_signed_zero_tails_stay_apart():
+    # 0.0 == -0.0, but their bits and their text differ
+    columns = ([0.5, 0.0, 0.0, -0.0, -0.0], [0.5, -0.0, -0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0, 0.0])
+    assert_table(np.column_stack(columns), [",", ",", ",", "\n"])
+
+
+def test_nan_and_infinite_tails():
+    nan, signed = np.nan, -np.nan
+    payload = np.array([0x7FF0000000000123], np.uint64).view(np.float64)[0]
+    columns = ([1.0, nan, nan, nan], [1.0, signed, signed, signed], [nan, signed, nan, signed],
+               [2.0, payload, nan, payload], [0.5, np.inf, np.inf, np.inf],
+               [0.5, -np.inf, -np.inf, -np.inf], [np.inf, -np.inf, -np.inf, np.inf])
+    assert_table(np.column_stack(columns), [","] * 6 + ["\n"])
+
+
+def test_subnormal_tails():
+    columns = ([1.0, 5e-324, 5e-324, 5e-324], [0.1, -5e-324, -5e-324, -5e-324],
+               [1e-310, 2.2250738585072e-308, 2.2250738585072e-308, 1e-310])
+    assert_table(np.column_stack(columns), [",", ",", "\n"])
+
+
+def test_constant_columns_and_a_differing_last_row():
+    columns = ([0.25] * 6, [-1e-05] * 6, [0.1] * 5 + [0.2], [1e16] * 5 + [1e16 + 2])
+    assert_table(np.column_stack(columns), [",", ",", ",", "\n"])
+
+
+def test_zero_and_one_row_tables():
+    assert format_rows(np.empty((0, 3)), [",", ",,,,,", "\n"]) == ""
+    assert_table([[0.5, -0.0, 1e-7]], [",", ",,,,,", "\n"])
+
+
+def test_gap_separator_on_a_constant_column():
+    table = np.column_stack((np.linspace(0.0, 1.0, 9), [0.125] * 9, np.geomspace(1e-9, 1.0, 9)))
+    assert_table(table, [",", ",,,,,", "\n"])
+
+
+def test_runs_across_row_blocks():
+    # runs that start before, on and after the first block boundary, a
+    # constant column and one whose last row differs
+    rows = 2 * _CHUNK + 500
+    rng = np.random.default_rng(12)
+    table = rng.standard_normal((rows, 6))
+    for j, start in enumerate([_CHUNK - 40, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 0]):
+        table[start:, j] = table[-1, j]
+    table[-1, 5] = 1.5
+    assert_table(table, [","] * 5 + ["\n"])

@@ -147,7 +147,11 @@ def test_literal_stack_matches_member_by_member_parse(monkeypatch):
     texts[3::4] = [format_state_literal(random_density(seed)) for seed in range(5)]
     texts += [" x: 0.5,0,0 ,0.5,-0.0,-0.0,0,-0.0\n",
               "dense: 0.25:0,0:-0.0,0:0,0:0, 0:0,0.25:0,0:0,0:0, "
-              "0:0,0:0,0.25:-0.0,0:0, 0:0,0:0,0:0,0.25:0 "]
+              "0:0,0:0,0.25:-0.0,0:0, 0:0,0:0,0:0,0.25:0 ",
+              # underscores, signs, exponents and whitespace that float() accepts
+              "x:0.2_5,\t0.25 ,+0.25,2.5e-1,1E-1,-0.0, 0 ,0",
+              "dense:0.2_5 : 0,0:0,0:0,0:0,0:0,+0.25\t:-0.0,0:0,0:0,"
+              "0:0,0:0,2_5e-2:0,0:0,0:0,0:0,0:0,0.25:0_0"]
     members = [parse_state_literal(text) for text in texts]
     want = [embed_x(m) if isinstance(m, XState) else m for m in members]
 
