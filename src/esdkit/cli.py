@@ -8,8 +8,8 @@ and both go through one conversion: a config entry is read as its flag's
 text would be, so a value of the wrong type (``"seed": 1.5``, ``"horizon":
 [1]``) exits 2 like the same bad flag.  ``--config``, ``--set-file`` and
 ``custom:`` files share one JSON reader.  Outputs are byte-identical for
-identical configs and seeds.  ``sweep`` decides all grid rows in one
-batched pass; ``--jobs`` is validated but has no effect, and ``--dt``,
+identical configs and seeds.  ``sweep`` validates and decides its whole
+grid as columns; ``--jobs`` is validated but has no effect, and ``--dt``,
 ``evolve``'s step, is validated and ignored elsewhere.  Exit codes: 0 ok,
 2 usage or parse error (including non-finite numbers), 3 runtime error.
 """
@@ -17,7 +17,6 @@ batched pass; ``--jobs`` is validated but has no effect, and ``--dt``,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ from .states import (
     ToleranceConfig,
     XState,
     _literal_stack,
+    _x_suspects,
     make_x,
     parse_state_literal,
     project_x,
@@ -70,7 +70,7 @@ class RunConfig:
     samples: int = 100
     set_file: str | None = None
     family: str = "x"
-    grids: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    grids: list[tuple[str, float, float, int]] = field(default_factory=list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(text: str) -> tuple[str, np.ndarray]:
+def _parse_grid(text: str) -> tuple[str, float, float, int]:
     head, sep, tail = text.partition("=")
     if not sep:
         raise ParseError(f"{text!r}: expected param=start:stop:n")
@@ -132,7 +132,7 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         raise ParseError(f"{text!r}: bounds must be finite")
     if count < 1:
         raise ParseError(f"{text!r}: n must be >= 1")
-    return name, np.linspace(start, stop, count)
+    return name, start, stop, count
 
 
 def _positive(text: str) -> float:
@@ -293,58 +293,53 @@ def cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def _pure_family_state(a: float) -> XState:
-    # superposition sqrt(a)|ee> + sqrt(1-a)|gg>
-    if not 0.0 < a < 1.0:
-        raise ParseError(f"pure family requires 0 < a < 1, got {a!r}")
-    return make_x(a, 0.0, 0.0, 1.0 - a, np.sqrt(a * (1.0 - a)), 0.0)
-
-
-def _sweep_state(config: RunConfig, names: list[str], values: tuple[float, ...]) -> XState:
-    if config.family == "pure":
-        if names != ["a"]:
-            raise ParseError("pure family sweeps accept exactly one grid over a")
-        return _pure_family_state(values[0])
-    base = _require_x(_require(config.state, "state"), "state")
-    fields = {
-        "a": base.a, "b": base.b, "c": base.c, "d": base.d,
-        "w_re": base.w.real, "w_im": base.w.imag,
-        "z_re": base.z.real, "z_im": base.z.imag,
-    }
-    fields.update(zip(names, values))
-    try:
-        return make_x(
-            fields["a"], fields["b"], fields["c"], fields["d"],
-            complex(fields["w_re"], fields["w_im"]),
-            complex(fields["z_re"], fields["z_im"]),
-        )
-    except ValidationError as exc:
-        point = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
-        raise ParseError(f"invalid sweep grid point {point}: {exc}") from None
-
-
 def cmd_sweep(config: RunConfig) -> int:
     channel = _require(config.channel, "channel")
     if not config.grids:
         raise ParseError("sweep requires at least one --grid (param=start:stop:n)")
     if not is_catalog(channel):
         raise ParseError("invalid --channel: sweep requires a catalog channel")
-    names = [name for name, _ in config.grids]
+    names = [grid[0] for grid in config.grids]
     if len(set(names)) != len(names):
         raise ParseError("sweep grids repeat a parameter name")
-    horizon = config.horizon
-    if horizon is None:
-        horizon = 50.0 / max_rate(channel)
-    combos = list(itertools.product(*(axis for _, axis in config.grids)))
-    rows = [_sweep_state(config, names, tuple(float(v) for v in values)) for values in combos]
-    reports = _death_reports(rows, channel, horizon, config.tol)
-    lines = [",".join(names) + ",verdict,t_star,crossings"]
-    for values, report in zip(combos, reports):
-        cells = [repr(float(v)) for v in values]
-        cells.append(report.verdict)
-        cells.append("" if report.t_star is None else repr(float(report.t_star)))
-        cells.append(str(report.crossings))
-        lines.append(",".join(cells))
+    horizon = config.horizon or 50.0 / max_rate(channel)
+    if config.family == "pure":
+        if names != ["a"]:
+            raise ParseError("pure family sweeps accept exactly one grid over a")
+        fields = dict.fromkeys(_SWEEP_FIELDS, 0.0)
+    else:
+        base = _require_x(_require(config.state, "state"), "state")
+        fields = dict(zip(_SWEEP_FIELDS, (base.a, base.b, base.c, base.d, base.w.real,
+                                          base.w.imag, base.z.real, base.z.imag)))
+    try:
+        # one column per grid, in itertools.product order
+        axes = [axis.ravel() for axis in np.meshgrid(
+            *(np.linspace(*grid[1:]) for grid in config.grids), indexing="ij")]
+    except (MemoryError, ValueError):
+        size = math.prod(grid[3] for grid in config.grids)
+        raise ParseError(f"a sweep grid of {size} points is too large to allocate") from None
+    fields.update(zip(names, axes))
+    if config.family == "pure":
+        # superpositions sqrt(a)|ee> + sqrt(1-a)|gg>
+        a = fields["a"]
+        outside = np.flatnonzero(~((0.0 < a) & (a < 1.0)))
+        if outside.size:
+            raise ParseError(f"pure family requires 0 < a < 1, got {float(a[outside[0]])!r}")
+        fields.update(d=1.0 - a, w_re=np.sqrt(a * (1.0 - a)))
+    table = np.column_stack([np.broadcast_to(fields[f], axes[0].size) for f in _SWEEP_FIELDS])
+    # each (re, im) pair read as one complex keeps both parts' bits, signed zeros too
+    cols = (*table[:, :4].T, *table[:, 4:].view(complex).T)
+    for i in _x_suspects(cols, config.tol):
+        try:
+            make_x(*(col[i] for col in cols), tol=config.tol)
+        except ValidationError as exc:
+            point = ", ".join(f"{name}={float(axis[i])!r}" for name, axis in zip(names, axes))
+            raise ParseError(f"invalid sweep grid point {point}: {exc}") from None
+    verdicts, t_star, crossings = _death_reports(XState(*cols), channel, horizon, config.tol)
+    t_cells = ("" if math.isnan(t) else repr(t) for t in t_star.tolist())
+    rows = zip(*(map(repr, axis.tolist()) for axis in axes), verdicts.tolist(), t_cells,
+               map(str, crossings.tolist()))
+    lines = [",".join([*names, "verdict", "t_star", "crossings"]), *map(",".join, rows)]
     _emit("\n".join(lines) + "\n", config.out)
     return 0
 

@@ -335,7 +335,7 @@ def simulate(
     return Trajectory(times, _StateView(stack), neg, min_pt, min_eig, abs_w, abs_z, **kwargs)
 
 
-def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
+def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool):
     """Late-time sign of a PT block margin, computed without underflow.
 
     The entanglement margin of the inner PT block is ``|w(t)|^2 -
@@ -348,9 +348,11 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
     block stays entangled forever, its negativity draining away unless
     the block is undamped.  The limit bracket is plain O(1) arithmetic on
     the initial data, so its sign survives long after the pointwise margin
-    has degraded.
+    has degraded.  ``x0`` may hold scalars or equal-length arrays.
     """
     a, b, c, d = x0.a, x0.b, x0.c, x0.d
+    # hypot and square give a scalar's bits on an array too; abs(w) ** 2 does not
+    w2, z2 = (np.square(np.hypot(v.real, v.imag)) for v in (x0.w, x0.z))
     if isinstance(channel, IndependentDecay):
         if channel.nbar == 0.0:
             # e_i(t) -> 0 for gamma_i > 0 and stays 1 for a frozen qubit;
@@ -359,9 +361,9 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
             sa = 1.0 if channel.gamma_a == 0.0 else 0.0
             sb = 1.0 if channel.gamma_b == 0.0 else 0.0
             if inner:
-                return abs(x0.w) ** 2 - ((1.0 - sb) * a + b) * ((1.0 - sa) * a + c)
+                return w2 - ((1.0 - sb) * a + b) * ((1.0 - sa) * a + c)
             d_inf = (1.0 - sa) * (1.0 - sb) * a + (1.0 - sb) * c + (1.0 - sa) * b + d
-            return abs(x0.z) ** 2 - a * d_inf
+            return z2 - a * d_inf
         # finite temperature: coherences vanish while the populations
         # settle on a product state, generically strictly interior, so
         # the raw limit margin is already well scaled
@@ -375,7 +377,7 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool) -> float:
         # populations are constant and both coherences decay
         return -(b * c) if inner else -(a * d)
     # collective dephasing: w decays, z and the populations are invariant
-    return -(b * c) if inner else abs(x0.z) ** 2 - a * d
+    return -(b * c) if inner else z2 - a * d
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -415,12 +417,13 @@ def _bisect_deaths(
 
 
 def _death_reports(
-    rows: list[XState],
+    x: XState,
     channel: ChannelSpec,
     horizon: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[DeathReport]:
-    """Death-time reports for valid X states sharing a channel and horizon.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(verdicts, t_star, crossings)`` arrays, ``t_star`` NaN unless finite, of
+    valid X states sharing a channel and horizon, as an ``XState`` of scalars or columns.
 
     The closed-form negativity of all rows at 0 and at the horizon ``H``
     is one ``(rows, 2)`` batch, and monotonicity (module docstring; it
@@ -441,8 +444,8 @@ def _death_reports(
         )
     _require_positive("horizon", horizon)
 
-    cols = [np.array([getattr(x, f) for x in rows]) for f in "abcdwz"]
-    count = len(rows)
+    cols = [np.atleast_1d(getattr(x, f)) for f in "abcdwz"]
+    count = cols[0].size
     # rate * horizon may overflow; exp(-inf) = 0 is right
     with np.errstate(over="ignore"):
         curves = x_closed_curves(XState(*(col[:, None] for col in cols)), channel,
@@ -455,8 +458,9 @@ def _death_reports(
     inner_block = inner_pt[:, 0] < outer_pt[:, 0]
 
     finite = np.zeros(count, dtype=bool)
-    for i in np.nonzero(ever)[0]:
-        finite[i] = _limit_margin(rows[i], channel, bool(inner_block[i])) < 0.0
+    for inner in (False, True):
+        rows = np.flatnonzero(ever & (inner_block == inner))
+        finite[rows] = _limit_margin(XState(*(col[rows] for col in cols)), channel, inner) < 0.0
     # the z-block margin under collective dephasing is constant
     persistent = ever & ~finite & ~inner_block & isinstance(channel, CollectiveDephasing)
 
@@ -487,10 +491,7 @@ def _death_reports(
         [~ever, finite, persistent],
         [VERDICT_NEVER, VERDICT_FINITE, VERDICT_PERSISTENT], VERDICT_ASYMPTOTIC,
     )
-    return [
-        DeathReport(str(v), float(t) if f else None, horizon, int(n), tol.eps_death)
-        for v, f, t, n in zip(verdicts.tolist(), finite, t_star.tolist(), crossings)
-    ]
+    return verdicts, t_star, crossings.astype(int)
 
 
 def death_time(
@@ -515,7 +516,8 @@ def death_time(
             f"death_time requires an XState, got {type(x0).__name__}"
         )
     x0 = make_x(x0.a, x0.b, x0.c, x0.d, x0.w, x0.z, tol=tol)
-    return _death_reports([x0], channel, horizon, tol)[0]
+    (verdict,), (t,), (n,) = (col.tolist() for col in _death_reports(x0, channel, horizon, tol))
+    return DeathReport(verdict, None if math.isnan(t) else t, horizon, n, tol.eps_death)
 
 
 def crossing_count(traj: Trajectory, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -289,21 +289,23 @@ def _x_matrices(params: tuple[np.ndarray, ...]) -> np.ndarray:
     return arr
 
 
-def _x_stack(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """:func:`_x_matrices` of parameter arrays that pass :func:`make_x`.
-
-    An array test mirroring its checks picks out the suspect members, and
-    :func:`make_x` runs on those in order, so the first failing member
-    raises its error and message.
-    """
+def _x_suspects(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Indices, in order, of the X parameter members :func:`make_x` must decide; the rest pass."""
     a, b, c, d, w, z = params
     pops = np.stack([a, b, c, d])
+    # members within rounding of a bound go to make_x: numpy may round unlike Python
     with np.errstate(over="ignore", invalid="ignore"):
         ok = (np.isfinite(pops).all(axis=0) & (pops >= -tol.eps_psd).all(axis=0)
-              & (np.abs(a + b + c + d - 1.0) <= tol.eps_trace) & np.isfinite(w) & np.isfinite(z)
-              & (np.abs(w) ** 2 <= a * d + tol.eps_psd) & (np.abs(z) ** 2 <= b * c + tol.eps_psd))
-    for i in np.flatnonzero(~ok):
-        make_x(a[i], b[i], c[i], d[i], w[i], z[i], tol=tol)
+              & (np.abs(a + b + c + d - 1.0) <= tol.eps_trace - 1e-14) & np.isfinite(w)
+              & np.isfinite(z) & (np.abs(w) ** 2 <= (a * d + tol.eps_psd) * (1.0 - 1e-12))
+              & (np.abs(z) ** 2 <= (b * c + tol.eps_psd) * (1.0 - 1e-12)))
+    return np.flatnonzero(~ok)
+
+
+def _x_stack(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """:func:`_x_matrices` of parameter arrays that pass :func:`make_x`."""
+    for i in _x_suspects(params, tol):
+        make_x(*(p[i] for p in params), tol=tol)
     return _x_matrices(params)
 
 

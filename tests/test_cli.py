@@ -1,6 +1,7 @@
 """End-to-end command-line checks through ``python -m esdkit``; the
 contract checks at the end call ``esdkit.cli.main`` in process."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -10,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esdkit import cli, parse_state_literal, parse_trajectory_csv
+from esdkit import (
+    cli, death_time, make_x, parse_channel_literal, parse_state_literal,
+    parse_trajectory_csv,
+)
 
 from _cli import cli_env
 
@@ -232,25 +236,85 @@ def test_sweep_grid_cross_product():
     assert len(lines) == 5
 
 
-def test_sweep_grid_errors_exit_2():
-    base = ("sweep", "--channel", "decay:1,1,0", "--family", "pure")
-    assert run_cli(*base).returncode == 2  # no grid at all
-    assert run_cli(*base, "--grid", "a=0:1").returncode == 2
-    assert run_cli(*base, "--grid", "q=0:1:3").returncode == 2
-    assert run_cli(*base, "--grid", "a=0:1:0").returncode == 2
-    repeated = run_cli(
-        "sweep", "--channel", "decay:1,1,0", "--state",
-        "x:0.25,0.25,0.25,0.25,0,0,0,0",
-        "--grid", "a=0.2:0.3:2", "--grid", "a=0.2:0.3:2",
-    )
-    assert repeated.returncode == 2
-    # a grid point off unit trace is rejected like any other bad grid
-    off_trace = run_cli(
-        "sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0",
-        "--grid", "a=0.5:0.6:2",
-    )
-    assert off_trace.returncode == 2
-    assert "populations sum deviates" in off_trace.stderr
+def test_sweep_grid_errors_exit_2(capsys):
+    pure = ("--channel", "decay:1,1,0", "--family", "pure")
+    base = ("--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0")
+    cases = [
+        (pure, "sweep requires at least one --grid (param=start:stop:n)"),
+        (pure + ("--grid", "a=0:1"), "invalid --grid: 'a=0:1': expected start:stop:n"),
+        (pure + ("--grid", "q=0:1:3"), "invalid --grid: 'q=0:1:3': unknown parameter 'q' "
+                                       "(expected one of a, b, c, d, w_re, w_im, z_re, z_im)"),
+        (pure + ("--grid", "a=0:1:0"), "invalid --grid: 'a=0:1:0': n must be >= 1"),
+        (base + ("--grid", "a=0.2:0.3:2", "--grid", "a=0.2:0.3:2"),
+         "sweep grids repeat a parameter name"),
+        # a grid point off unit trace is rejected like any other bad grid
+        (base + ("--grid", "a=0.5:0.6:2"),
+         "invalid sweep grid point a=0.5: populations sum deviates from 1 by 1.000e-01"),
+        # the first failing point in itertools.product order
+        (base + ("--grid", "w=0:0.5:5", "--grid", "z=0:0.2:3"),
+         "invalid sweep grid point w_re=0.0, z_re=0.2: |z|^2=4.000000e-02 exceeds "
+         "b*c=1.000000e-02"),
+        (pure + ("--grid", "a=0:1:3"), "pure family requires 0 < a < 1, got 0.0"),
+        (pure + ("--grid", "a=0.2:1.2:6"), "pure family requires 0 < a < 1, got 1.0"),
+        (pure + ("--grid", "a=0.2:0.8:3", "--grid", "w=0:0.1:2"),
+         "pure family sweeps accept exactly one grid over a"),
+    ]
+    for args, line in cases:
+        assert cli.main(["sweep", *args]) == 2, args
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n"), args
+
+
+def test_sweep_oversized_grid_exits_2():
+    # 10**18 points is beyond the address space, so allocation fails under
+    # any overcommit policy; a size that fits could be allocated and written
+    args = ("sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0")
+    one = ("--grid", "a=0.1:0.9:1000000000000000000")
+    product = tuple(f"--grid={name}=0:0.1:1000000" for name in ("w", "w_im", "z"))
+    for grids in (one, product):
+        result = run_cli(*args, *grids)
+        assert_clean_exit_2(result)
+        assert result.stderr == ("error: a sweep grid of 1000000000000000000 points "
+                                 "is too large to allocate\n")
+
+
+# one coherence grid per catalog channel kind; together they reach every verdict
+SWEEP_GRIDS = [
+    ("decay:1,1,0", "x:0.2,0,0,0.8,0,0,0,0",
+     [("w_re", -0.28, 0.28, 5), ("w_im", -0.28, 0.28, 5)]),
+    ("decay:1,0.5,0.3", "x:0.3,0.2,0.2,0.3,0,0,0,0",
+     [("w_re", -0.2, 0.2, 5), ("w_im", -0.2, 0.2, 5)]),
+    ("dephase:1,0.5", "x:0.3,0.2,0.2,0.3,0,0,0,0",
+     [("z_re", 0.0, 0.2, 3), ("w_re", 0.0, 0.3, 4)]),
+    ("collective:1", "x:0.1,0.4,0.4,0.1,0,0,0,0",
+     [("z_re", -0.35, 0.35, 5), ("w_re", 0.0, 0.1, 3)]),
+]
+
+
+def test_sweep_rows_match_death_time(capsys):
+    verdicts = set()
+    for channel_text, state_text, grids in SWEEP_GRIDS:
+        args = ["sweep", "--channel", channel_text, "--state", state_text, "--horizon", "2"]
+        assert cli.main(args + [f"--grid={n}={lo!r}:{hi!r}:{k}" for n, lo, hi, k in grids]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        names = [name for name, *_ in grids]
+        assert header == ",".join(names) + ",verdict,t_star,crossings"
+        points = list(itertools.product(*(np.linspace(*grid[1:]).tolist() for grid in grids)))
+        assert len(lines) == len(points)
+        base = parse_state_literal(state_text)
+        channel = parse_channel_literal(channel_text)
+        for line, point in zip(lines, points):
+            fields = {"w_re": base.w.real, "w_im": base.w.imag,
+                      "z_re": base.z.real, "z_im": base.z.imag, **dict(zip(names, point))}
+            x = make_x(base.a, base.b, base.c, base.d,
+                       complex(fields["w_re"], fields["w_im"]),
+                       complex(fields["z_re"], fields["z_im"]))
+            report = death_time(x, channel, 2.0)
+            t_star = "" if report.t_star is None else repr(report.t_star)
+            cells = [*map(repr, point), report.verdict, t_star, str(report.crossings)]
+            assert line == ",".join(cells), (channel_text, point)
+            verdicts.add(report.verdict)
+    assert verdicts == {"finite", "asymptotic", "persistent", "never_entangled"}
 
 
 def test_sweep_jobs_do_not_change_output():

@@ -321,6 +321,17 @@ def test_death_time_one_sided_decay_pure_family():
     assert report.verdict == VERDICT_ASYMPTOTIC
 
 
+def death_reports(rows, channel, horizon, tol=DEFAULT_TOL):
+    """The batched kernel on X states given one per row, its per-row
+    arrays read back as DeathReports."""
+    columns = XState(*(np.array([getattr(x, f) for x in rows]) for f in "abcdwz"))
+    verdicts, t_star, crossings = _death_reports(columns, channel, horizon, tol)
+    return [
+        DeathReport(v, None if np.isnan(t) else t, horizon, n, tol.eps_death)
+        for v, t, n in zip(verdicts.tolist(), t_star.tolist(), crossings.tolist())
+    ]
+
+
 # every catalog channel kind, with one-sided, asymmetric and thermal decay
 CATALOG_SAMPLE = [
     IndependentDecay(1.0, 1.0, 0.0),
@@ -336,8 +347,8 @@ CATALOG_SAMPLE = [
 def test_death_verdicts_do_not_depend_on_the_horizon(channel):
     rows = [random_x(seed) for seed in range(100)]
     rate = max_rate(channel)
-    short = _death_reports(rows, channel, 0.5 / rate)
-    long = _death_reports(rows, channel, 700.0 / rate)
+    short = death_reports(rows, channel, 0.5 / rate)
+    long = death_reports(rows, channel, 700.0 / rate)
     for x, s, l in zip(rows, short, long):
         assert s.verdict == l.verdict, x
         if s.verdict == VERDICT_FINITE:
@@ -436,7 +447,7 @@ DEATH_BATCHES = [
 
 
 def assert_matches_scalar_scan(rows, channel, horizon):
-    reports = _death_reports(rows, channel, horizon, DEFAULT_TOL)
+    reports = death_reports(rows, channel, horizon)
     assert len(reports) == len(rows)
     for x, got in zip(rows, reports):
         want = death_time_scalar(x, channel, horizon, DEFAULT_TOL)
@@ -467,7 +478,7 @@ def test_death_reports_match_the_grid_scan(channel):
     # where the negativity flickers around eps_death over a few 1e-9/rate
     rows = [random_x(seed) for seed in range(2000)]
     rate = max_rate(channel)
-    reports = _death_reports(rows, channel, 50.0 / rate)
+    reports = death_reports(rows, channel, 50.0 / rate)
     for x, got in zip(rows, reports):
         want = death_time_grid_scalar(x, channel, 50.0 / rate, DEFAULT_TOL)
         assert (got.verdict, got.crossings) == (want.verdict, want.crossings), x

@@ -6,14 +6,20 @@ import pytest
 from esdkit._floattext import _CHUNK, format_rows
 
 
+def assert_rows(text, expected):
+    """``text == expected``, reporting the first differing rows; a plain
+    ``assert`` would have pytest diff the whole tables, which takes minutes."""
+    if text != expected:
+        got, want = text.split("\n"), expected.split("\n")
+        wrong = [(i, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
+        pytest.fail(f"{len(wrong)} rows differ, {len(got)} written for {len(want)} "
+                    f"(row, expected, got): {wrong[:3]}")
+
+
 def assert_repr(values):
     values = np.asarray(values, dtype=np.float64)
-    text = format_rows(values[:, None], ["\n"])
     expected = "".join(repr(v) + "\n" for v in values.tolist())
-    if text != expected:
-        wrong = [(want, got) for want, got in zip(expected.split("\n"), text.split("\n"))
-                 if want != got]
-        pytest.fail(f"{len(wrong)} cells differ from repr (expected, got): {wrong[:5]}")
+    assert_rows(format_rows(values[:, None], ["\n"]), expected)
 
 
 def neighbours(x, ulps=1000):
@@ -63,7 +69,7 @@ def test_zeros_infinities_nan_and_extremes():
 def test_separators_follow_their_columns_row_major():
     table = np.array([[0.5, -1e-5, 3.0], [1e16, 0.0, -np.inf]] * 700)
     expected = "0.5,-1e-05,,,,,3.0\n1e+16,0.0,,,,,-inf\n" * 700
-    assert format_rows(table, [",", ",,,,,", "\n"]) == expected
+    assert_rows(format_rows(table, [",", ",,,,,", "\n"]), expected)
 
 
 # --- trailing runs: each column's cells bitwise equal to its last are spelled once
@@ -71,11 +77,7 @@ def test_separators_follow_their_columns_row_major():
 def assert_table(table, separators):
     table = np.asarray(table, dtype=np.float64)
     expected = "".join(repr(v) + sep for row in table.tolist() for v, sep in zip(row, separators))
-    text = format_rows(table, separators)
-    if text != expected:
-        wrong = [(i, want, got) for i, (want, got)
-                 in enumerate(zip(expected.split("\n"), text.split("\n"))) if want != got]
-        pytest.fail(f"{len(wrong)} rows differ from repr (row, expected, got): {wrong[:3]}")
+    assert_rows(format_rows(table, separators), expected)
 
 
 def test_signed_zero_tails_stay_apart():

@@ -131,6 +131,9 @@ def test_x_stack_matches_embed_x_bit_for_bit():
     ((0.25, 0.25, 0.25, 0.25, 0.0, 0.26), NotPositiveError),
     ((float("nan"), 0.0, 0.0, 1.0, 0.0, 0.0), OutOfRangeError),
     ((0.5, 0.0, 0.0, 0.5, complex(0.0, float("inf")), 0.0), OutOfRangeError),
+    # |w|^2 one rounding above a*d + eps_psd by Python's abs and ** 2, not by numpy's
+    ((0.4598761641418843, 0.1718529728040154, 0.1718529728040154, 0.19641789025008494,
+      0.2952593976715402 + 0.0561230346977956j, 0.0), NotPositiveError),
 ])
 def test_x_stack_raises_make_x_error_for_first_failing_member(bad, error):
     good = (0.25, 0.25, 0.25, 0.25, 0.1, 0.0)
