@@ -67,6 +67,7 @@ from .states import (
     ToleranceConfig,
     XState,
     _X_PATTERN,
+    _checked_stack,
     _frozen,
     _unchecked_density,
     parse_dense_entries,
@@ -273,41 +274,21 @@ def _step_plan(t: float, dt: float) -> tuple[int, float]:
     return n_steps, min(dt, t - (n_steps - 1) * dt)
 
 
-def _revalidate(
-    stack: np.ndarray, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-check an (n, 4, 4) stack of integrator outputs.
-
-    Each matrix is hermitized and divided by its trace.  The earliest
-    matrix with a non-finite entry, a trace off 1 by more than
-    ``eps_trace`` or an eigenvalue below ``-eps_psd`` raises
-    :class:`StepTooLargeError`; otherwise returns the normalized stack and
-    the lowest eigenvalue of each of its matrices.
-    """
-    # a step too large for RK4 can overflow, which the checks below report: it
-    # leaves NaN traces, and every comparison with NaN is False
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-        traces = np.trace(m, axis1=-2, axis2=-1).real
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        ok = finite & (np.abs(traces - 1.0) <= tol.eps_trace)
-        m = m / np.where(ok, traces, 1.0)[:, None, None]
-    lowest = np.full(len(m), np.inf)
-    lowest[ok] = np.linalg.eigvalsh(m[ok])[:, 0]
-    bad = ~ok | (lowest < -tol.eps_psd)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not finite[i]:
-            raise StepTooLargeError(
-                "integration overflowed to non-finite entries; reduce dt"
-            )
-        if not ok[i]:
-            raise StepTooLargeError(
-                f"trace drifted to {float(traces[i])!r} during integration; reduce dt"
-            )
-        raise StepTooLargeError(
-            f"minimum eigenvalue {float(lowest[i]):.3e} after integration; reduce dt"
-        )
+def _revalidate(stack: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Re-check an (n, 4, 4) stack of integrator outputs with
+    :func:`~esdkit.states._checked_stack`, each average divided by its trace.
+    The first matrix with a non-finite entry, an asymmetry above ``eps_psd``,
+    a trace off 1 by more than ``eps_trace`` or an eigenvalue below
+    ``-eps_psd`` raises :class:`StepTooLargeError`; otherwise returns the
+    normalized stack and the lowest eigenvalue of each of its matrices."""
+    m, lowest, _, kind, value = _checked_stack(stack, tol, normalize=True)
+    if kind is not None:
+        raise StepTooLargeError({
+            "finite": "integration overflowed to non-finite entries",
+            "asym": "integration left a non-Hermitian matrix (asymmetry {:.3e})",
+            "trace": "trace drifted to {!r} during integration",
+            "psd": "minimum eigenvalue {:.3e} after integration",
+        }[kind].format(value) + "; reduce dt")
     return m, lowest
 
 
@@ -326,10 +307,10 @@ def propagate_numeric(
     matches up to roundoff.  The steps are applied as powers of the
     one-step RK4 matrix ``P(dt)`` (binary powering, O(log(t / dt)) matrix
     products), which gives the same result as stepping up to roundoff.
-    Output is re-validated: the trace is renormalized when within
-    ``eps_trace`` of 1 and positivity is required within ``eps_psd``; a
-    failed check, or an overflow to non-finite entries, raises
-    :class:`StepTooLargeError`.
+    Output is re-validated: a non-finite result, or one off Hermiticity or
+    positivity by more than ``eps_psd`` or off unit trace by more than
+    ``eps_trace``, raises :class:`StepTooLargeError`; the trace is then
+    renormalized.
     """
     if t < 0.0:
         raise ValidationError(f"propagation time t={t!r} must be nonnegative")

@@ -95,10 +95,11 @@ def eigenvalues_hermitian(
 ) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    The input is checked against ``eps_psd`` Hermiticity slack and exactly
-    symmetrized before diagonalization.
+    Non-finite entries raise :class:`~esdkit.errors.OutOfRangeError`, and an
+    asymmetry ``|m - m^dag|`` above ``eps_psd`` raises
+    :class:`~esdkit.errors.NotHermitianError`; the input is then exactly symmetrized.
     """
-    return np.linalg.eigvalsh(_hermitize(np.asarray(matrix, dtype=complex), tol.eps_psd, "matrix"))
+    return np.linalg.eigvalsh(_hermitize(np.asarray(matrix, dtype=complex), tol, "matrix"))
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:

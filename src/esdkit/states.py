@@ -147,23 +147,10 @@ class QubitState(DensityMatrix):
 
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
-    """Exactly Hermitian 4x4 observable (read-only array)."""
+    """Exactly Hermitian 4x4 observable (read-only array); construct through
+    :func:`observable`, which rejects non-finite entries and asymmetry."""
 
     matrix: np.ndarray = field(repr=False)
-
-
-def _hermitize(matrix: np.ndarray, eps: float, what: str) -> np.ndarray:
-    """Check Hermiticity within ``eps`` and return the exact average."""
-    adjoint = matrix.conj().T
-    # as in _density_stack, halving first keeps a Hermitian pair near 1e308 finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = float(np.abs(matrix - adjoint).max())
-        hermitian = 0.5 * matrix + 0.5 * adjoint
-    if asym > eps:
-        raise NotHermitianError(
-            f"{what} deviates from Hermiticity by {asym:.3e} (> {eps:.1e})"
-        )
-    return hermitian
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -194,43 +181,72 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(_frozen(_density_stack(matrix[None], tol)[0][0]))
 
 
+def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = False) -> tuple:
+    """Check an (n, 4, 4) stack member by member for finite entries (fault
+    ``"finite"``), asymmetry ``|m - m^dag|`` within ``eps_psd`` (``"asym"``),
+    then the average ``(m + m^dag) / 2`` for trace within ``eps_trace`` of 1
+    (``"trace"``) and, divided by that trace if ``normalize``, lowest
+    eigenvalue at least ``-eps_psd`` (``"psd"``).  Returns ``(hermitian,
+    lowest, i, kind, value)``: the averages and lowest eigenvalues up to the
+    first failure ``i`` (``len(stack)`` if none), its fault and the
+    asymmetry, trace or eigenvalue it failed on (else ``None``)."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # non-finite members and finite ones whose differences or trace overflow
+    # fail below; halving first keeps a Hermitian pair near 1e308 finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = stack.conj().transpose(0, 2, 1)
+        asym = np.abs(stack - adjoint).max(axis=(1, 2))
+        hermitian = 0.5 * stack + 0.5 * adjoint
+        trace = hermitian.trace(axis1=1, axis2=2).real
+    # a NaN asymmetry or trace compares False, so it fails
+    cheap_bad = ~finite | ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
+    # only members before the first to fail a cheaper check need eigenvalues
+    k = int(cheap_bad.argmax()) if cheap_bad.any() else len(stack)
+    if normalize:
+        hermitian[:k] /= trace[:k, None, None]
+    lowest = np.linalg.eigvalsh(hermitian[:k])[:, 0]
+    negative = lowest < -tol.eps_psd
+    i = int(negative.argmax()) if negative.any() else k
+    kind, values = ((None, None) if i == len(stack) else ("psd", lowest) if i < k
+                    else ("finite", None) if not finite[i]
+                    else ("asym", asym) if not asym[i] <= tol.eps_psd else ("trace", trace))
+    return hermitian, lowest, i, kind, None if values is None else float(values[i])
+
+
+def _raise_fault(kind: str | None, value, tol: ToleranceConfig, what: str, where: str = ""):
+    """Raise the validation error of a :func:`_checked_stack` fault, if any."""
+    if kind == "finite":
+        raise OutOfRangeError(f"{where}{what} has non-finite entries")
+    if kind == "asym":
+        raise NotHermitianError(
+            f"{where}{what} deviates from Hermiticity by {value:.3e} (> {tol.eps_psd:.1e})")
+    if kind == "trace":
+        raise TraceNotOneError(
+            f"{where}trace deviates from 1 by {abs(value - 1.0):.3e} (> {tol.eps_trace:.1e})")
+    if kind == "psd":
+        raise NotPositiveError(f"{where}minimum eigenvalue {value:.3e} below -{tol.eps_psd:.1e}")
+
+
 def _density_stack(
     stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate an (n, 4, 4) stack as :func:`make_density` validates one
     matrix; return the exactly Hermitian stack and each lowest eigenvalue.
-
-    The lowest-indexed failing matrix raises, for the first check it fails;
-    with ``first`` given, its message names it as member ``first + position``
-    (counting from 1).
+    The first failure of :func:`_checked_stack` raises; with ``first`` given,
+    its message names it as member ``first + position`` (counting from 1).
     """
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    # non-finite members and finite ones whose differences or trace overflow
-    # are rejected below; halving first keeps a Hermitian pair near 1e308 finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = stack.conj().transpose(0, 2, 1)
-        asym = np.abs(stack - adjoint).max(axis=(1, 2))
-        hermitian = 0.5 * stack + 0.5 * adjoint
-        drift = np.abs(hermitian.trace(axis1=1, axis2=2).real - 1.0)
-    # only members before the first to fail a cheaper check need eigenvalues
-    cheap_bad = ~finite | (asym > tol.eps_psd) | (drift > tol.eps_trace)
-    k = int(cheap_bad.argmax()) if cheap_bad.any() else len(stack)
-    lowest = np.linalg.eigvalsh(hermitian[:k])[:, 0]
-    negative = lowest < -tol.eps_psd
-    i = int(negative.argmax()) if negative.any() else k
-    if i < len(stack):
-        where = "" if first is None else f"member {first + i + 1}: "
-        if not finite[i]:
-            raise OutOfRangeError(f"{where}density matrix has non-finite entries")
-        if asym[i] > tol.eps_psd:
-            raise NotHermitianError(f"{where}density matrix deviates from Hermiticity by "
-                                    f"{asym[i]:.3e} (> {tol.eps_psd:.1e})")
-        if drift[i] > tol.eps_trace:
-            raise TraceNotOneError(
-                f"{where}trace deviates from 1 by {drift[i]:.3e} (> {tol.eps_trace:.1e})")
-        raise NotPositiveError(
-            f"{where}minimum eigenvalue {lowest[i]:.3e} below -{tol.eps_psd:.1e}")
+    hermitian, lowest, i, kind, value = _checked_stack(stack, tol)
+    where = "" if first is None else f"member {first + i + 1}: "
+    _raise_fault(kind, value, tol, "density matrix", where)
     return hermitian, lowest
+
+
+def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
+    """Check a square matrix's entries and asymmetry only; return its exact Hermitian average."""
+    hermitian, _, _, kind, value = _checked_stack(matrix[None], tol)
+    # an observable has no trace or sign condition
+    _raise_fault(kind if kind in ("finite", "asym") else None, value, tol, what)
+    return hermitian[0]
 
 
 def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
@@ -451,11 +467,13 @@ def random_x(seed: int) -> XState:
 
 
 def observable(entries, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianObservable:
-    """Validate a 4x4 Hermitian observable (exact Hermitization applied)."""
+    """Validate a 4x4 Hermitian observable (exact Hermitization applied):
+    non-finite entries raise :class:`OutOfRangeError`, and an asymmetry
+    ``|m - m^dag|`` above ``eps_psd`` raises :class:`NotHermitianError`."""
     m = np.asarray(entries, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 observable, got shape {m.shape}")
-    return HermitianObservable(_frozen(_hermitize(m, tol.eps_psd, "observable")))
+    return HermitianObservable(_frozen(_hermitize(m, tol, "observable")))
 
 
 def expectation(rho: DensityMatrix, obs: HermitianObservable) -> float:

@@ -1,11 +1,13 @@
 """Channel catalog: generators, closed forms, asymptotics and literals."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from esdkit import (
+    DEFAULT_TOL,
     CollectiveDephasing,
     CustomChannel,
     ExplicitSamples,
@@ -36,7 +38,7 @@ from esdkit import (
     thermal_product,
     x_closed_curves,
 )
-from esdkit.channels import _step_plan
+from esdkit.channels import _revalidate, _step_plan
 from esdkit.errors import (
     OutOfRangeError,
     ParseError,
@@ -290,6 +292,38 @@ def test_propagate_numeric_overflow_fails_validation():
     for t in (1000.0, 4000.0):
         with pytest.raises(StepTooLargeError):
             propagate_numeric(rho, IndependentDecay(1.0, 1.0), t, dt=4.0)
+
+
+# members for crafted revalidation stacks: the trace is 1.25, a negative
+# eigenvalue -0.25 at unit trace, an asymmetry of 1e-6 at unit trace
+BIG_TRACE = np.diag([0.5, 0.25, 0.25, 0.25]).astype(complex)
+NEGATIVE = np.diag([1.25, -0.25, 0.0, 0.0]).astype(complex)
+ASYMMETRIC = np.eye(4, dtype=complex) / 4.0 + 1e-6 * np.eye(4, k=1)
+
+
+@pytest.mark.parametrize("members,message", [
+    ({2: np.full((4, 4), np.nan)}, "integration overflowed to non-finite entries"),
+    ({2: ASYMMETRIC}, "integration left a non-Hermitian matrix (asymmetry 1.000e-06)"),
+    ({2: BIG_TRACE}, "trace drifted to 1.25 during integration"),
+    ({2: NEGATIVE}, "minimum eigenvalue -2.500e-01 after integration"),
+    # the earliest failing member is reported, whatever the kind of a later one
+    ({1: BIG_TRACE, 3: [[np.inf] * 4] * 4}, "trace drifted to 1.25 during integration"),
+    ({1: NEGATIVE, 3: ASYMMETRIC}, "minimum eigenvalue -2.500e-01 after integration"),
+], ids=["non-finite", "asymmetry", "trace", "eigenvalue", "trace-then-inf", "eigenvalue-then-asym"])
+def test_revalidate_reports_first_failing_member(members, message):
+    stack = np.stack([random_density(seed).matrix for seed in range(4)])
+    for k, member in members.items():
+        stack[k] = member
+    with pytest.raises(StepTooLargeError, match=f"^{re.escape(message)}; reduce dt$"):
+        _revalidate(stack, DEFAULT_TOL)
+
+
+def test_revalidate_divides_by_trace():
+    stack = np.stack([random_density(seed).matrix for seed in range(4)]) * (1.0 + 5e-10)
+    normalized, lowest = _revalidate(stack, DEFAULT_TOL)
+    expected = stack / stack.trace(axis1=1, axis2=2).real[:, None, None]
+    np.testing.assert_array_equal(normalized, expected)
+    np.testing.assert_array_equal(lowest, np.linalg.eigvalsh(expected)[:, 0])
 
 
 def test_propagate_numeric_semigroup():

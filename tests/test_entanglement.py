@@ -24,7 +24,7 @@ from esdkit import (
     werner,
     x_entangled,
 )
-from esdkit.errors import NotHermitianError, NotPositiveError
+from esdkit.errors import NotHermitianError, NotPositiveError, OutOfRangeError
 from esdkit.states import XState
 
 from _oracles import charpoly_eigs, pt_entrywise, random_local_unitary
@@ -103,6 +103,10 @@ def test_eigenvalues_hermitian_near_float_max():
     m[1, 0] = -1e308
     with pytest.raises(NotHermitianError, match="deviates from Hermiticity by inf"):
         eigenvalues_hermitian(m)
+    # a ValidationError, not numpy's LinAlgError
+    for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(OutOfRangeError, match="^matrix has non-finite entries$"):
+            eigenvalues_hermitian(bad)
 
 
 def test_negativity_reference_values():

@@ -292,6 +292,10 @@ def test_observable_rejects_gross_asymmetry():
     m[0, 1] = 1.0
     with pytest.raises(NotHermitianError):
         observable(m)
+    # non-finite entries are rejected before the asymmetry, which they make NaN
+    for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(OutOfRangeError, match="^observable has non-finite entries$"):
+            observable(bad)
 
 
 def test_x_literal_round_trip():
