@@ -22,6 +22,8 @@ _M63 = _U64(0x7FFFFFFFFFFFFFFF)
 _INF = _U64(0x7FF0000000000000)
 # floats per pass: larger chunks spill the uint64 temporaries out of cache
 _CHUNK = 2048
+# repr is faster below: within whole classify ops the two tie at 1,400-1,600 floats
+_KERNEL_FROM = 1536
 
 
 def _g_limbs() -> np.ndarray:
@@ -148,13 +150,20 @@ def _spell(values: np.ndarray, cells: np.ndarray) -> None:
 
 
 def format_rows(table: np.ndarray, separators: list[str]) -> str:
-    """The rows of a float64 table as text, row-major, each cell ``repr`` of
-    its float followed by its column's separator.
+    """The rows of a float64 table as text, row-major, each cell ``repr`` of its
+    float followed by its column's separator; from ``_KERNEL_FROM`` floats on, by the kernel."""
+    if table.size >= _KERNEL_FROM:
+        return _kernel_rows(table, separators)
+    cells = [""] * (2 * table.size)
+    cells[::2] = map(repr, table.ravel().tolist())
+    cells[1::2] = separators * len(table)
+    return "".join(cells)
 
-    A column's trailing run of floats bitwise equal to its last (a dead
-    negativity, a frozen population) is spelled once and its cell copied
-    down the run.
-    """
+
+def _kernel_rows(table: np.ndarray, separators: list[str]) -> str:
+    """:func:`format_rows` by the kernel, at any size.  A column's trailing run
+    of floats bitwise equal to its last (a dead negativity, a frozen
+    population) is spelled once and its cell copied down the run."""
     width = max(map(len, separators))
     seps = np.stack([np.frombuffer(s.encode().ljust(width, b"\0"), np.uint8)
                      for s in separators])

@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
+from ._floattext import format_rows
 from .channels import (
     AsymptoticSet,
     ChannelSpec,
@@ -49,6 +50,7 @@ from .states import (
     DEFAULT_TOL,
     DensityMatrix,
     ToleranceConfig,
+    _literal_fields,
     _stack_literals,
     _unchecked_density,
     _x_stack,
@@ -142,11 +144,11 @@ def _random_members(family: XFamily, rng: np.random.Generator, n: int) -> np.nda
         # and a uniform draw is low + (high - low) * rng.random()
         gammas = np.empty((n, 4))
         for k in range(n):
-            gammas[k] = rng.standard_exponential(4)
+            rng.standard_exponential(out=gammas[k])
             if not family.w_zero:
-                draws[k, :2] = rng.random(2)
+                rng.random(out=draws[k, :2])
             if not family.z_zero:
-                draws[k, 2:] = rng.random(2)
+                rng.random(out=draws[k, 2:])
         total = gammas[:, 0] + gammas[:, 1] + gammas[:, 2] + gammas[:, 3]
         pops = gammas * (1.0 / total)[:, None]
         draws[:, 1::2] *= 2.0 * np.pi
@@ -228,12 +230,13 @@ def classify_set(
     those of :func:`~esdkit.entanglement.classify_position` and
     :func:`~esdkit.states.format_state_literal` applied member by member.
     """
-    evidence: list[Evidence] = []
+    regions, fields = [], []
     for chunk in _member_chunks(aset, n_samples, seed):
-        regions = _regions(chunk, tol, len(evidence))
-        evidence.extend(map(Evidence, _stack_literals(chunk), regions))
-    if not evidence:
+        regions += _regions(chunk, tol, len(regions))
+        fields.append(_literal_fields(chunk))
+    if not regions:
         raise EmptySetError("asymptotic set has no members to classify")
+    evidence = list(map(Evidence, _stack_literals(fields), regions))
     single = isinstance(aset, SinglePoint) or (
         isinstance(aset, (ExplicitSamples, np.ndarray)) and len(evidence) == 1
     )
@@ -274,9 +277,10 @@ def scenario_to_json(label: ScenarioLabel) -> str:
     margins = [float(ev.region.margin) for ev in label.evidence]
     if not all(map(math.isfinite, margins)):
         raise ValidationError("scenario evidence has a non-finite margin")
+    spelled = format_rows(np.array(margins)[:, None], ["\n"]).split("\n")
     entries = ",\n".join(
         f'    {{\n      "state": {_quote(ev.state)},\n      "label": {_quote(ev.region.label)},\n'
-        f'      "margin": {margin!r}\n    }}' for ev, margin in zip(label.evidence, margins))
+        f'      "margin": {margin}\n    }}' for ev, margin in zip(label.evidence, spelled))
     evidence = f"[\n{entries}\n  ]" if entries else "[]"
     return (f'{{\n  "family": {_quote(label.family)},\n  "case": {_quote(label.case)},\n'
             f'  "evidence": {evidence}\n}}\n')

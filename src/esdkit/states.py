@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._floattext import format_rows
 from .errors import (
     BadDistributionError,
     NegativePopulationError,
@@ -181,6 +182,18 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(_frozen(_density_stack(matrix[None], tol)[0][0]))
 
 
+def _averaged(stack: np.ndarray) -> tuple:
+    """Each member's finite flag, asymmetry ``|m - m^dag|``, average and its trace."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # non-finite members and finite ones whose differences or trace overflow
+    # fail the checks; halving first keeps a Hermitian pair near 1e308 finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = stack.conj().transpose(0, 2, 1)
+        asym = np.abs(stack - adjoint).max(axis=(1, 2))
+        hermitian = 0.5 * stack + 0.5 * adjoint
+        return finite, asym, hermitian, hermitian.trace(axis1=1, axis2=2).real
+
+
 def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = False) -> tuple:
     """Check an (n, 4, 4) stack member by member for finite entries (fault
     ``"finite"``), asymmetry ``|m - m^dag|`` within ``eps_psd`` (``"asym"``),
@@ -190,14 +203,7 @@ def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = Fa
     lowest, i, kind, value)``: the averages and lowest eigenvalues up to the
     first failure ``i`` (``len(stack)`` if none), its fault and the
     asymmetry, trace or eigenvalue it failed on (else ``None``)."""
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    # non-finite members and finite ones whose differences or trace overflow
-    # fail below; halving first keeps a Hermitian pair near 1e308 finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = stack.conj().transpose(0, 2, 1)
-        asym = np.abs(stack - adjoint).max(axis=(1, 2))
-        hermitian = 0.5 * stack + 0.5 * adjoint
-        trace = hermitian.trace(axis1=1, axis2=2).real
+    finite, asym, hermitian, trace = _averaged(stack)
     # a NaN asymmetry or trace compares False, so it fails
     cheap_bad = ~finite | ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
     # only members before the first to fail a cheaper check need eigenvalues
@@ -242,11 +248,11 @@ def _density_stack(
 
 
 def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
-    """Check a square matrix's entries and asymmetry only; return its exact Hermitian average."""
-    hermitian, _, _, kind, value = _checked_stack(matrix[None], tol)
-    # an observable has no trace or sign condition
-    _raise_fault(kind if kind in ("finite", "asym") else None, value, tol, what)
-    return hermitian[0]
+    """Check a matrix's entries and asymmetry, not its spectrum; return its Hermitian average."""
+    (finite,), (asym,), (hermitian,), _ = _averaged(matrix[None])
+    kind = "finite" if not finite else "asym" if not asym <= tol.eps_psd else None
+    _raise_fault(kind, float(asym), tol, what)
+    return hermitian
 
 
 def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
@@ -481,10 +487,6 @@ def expectation(rho: DensityMatrix, obs: HermitianObservable) -> float:
     return float(np.trace(rho.matrix @ obs.matrix).real)
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def format_dense_entries(matrix: np.ndarray) -> str:
     """Row-major ``re:im`` pairs joined by commas (no prefix)."""
     # real and imaginary parts alternate in the float view
@@ -530,24 +532,29 @@ def format_state_literal(state: XState | DensityMatrix) -> str:
             state.a, state.b, state.c, state.d,
             state.w.real, state.w.imag, state.z.real, state.z.imag,
         )
-        return "x:" + ",".join(_format_float(v) for v in fields)
+        return "x:" + ",".join(map(repr, map(float, fields)))
     if isinstance(state, DensityMatrix):
         return "dense:" + format_dense_entries(state.matrix)
     raise ValidationError(f"cannot serialize object of type {type(state).__name__}")
 
 
-def _stack_literals(stack: np.ndarray) -> list[str]:
-    """Literals of stacked members, as member by member: the ``x:`` form
-    of :func:`project_x` where it accepts the member (at the default
-    ``eps_psd``), else the ``dense:`` form."""
+def _literal_fields(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``is_x`` mask of the stacked members :func:`project_x` accepts (at the default
+    ``eps_psd``), their (k, 8) ``x:`` fields and the (k, 32) ``dense:`` numbers of the rest."""
     is_x = np.abs(stack[:, ~_X_PATTERN]).max(axis=1) < DEFAULT_TOL.eps_psd
-    xs = stack[is_x]
-    # populations, then the real and imaginary parts of w and of z
-    coherences = np.ascontiguousarray(xs[:, [0, 1], [3, 2]]).view(float)
-    fields = np.column_stack([xs[:, [0, 1, 2, 3], [0, 1, 2, 3]].real, coherences])
-    x_literals = iter(["x:" + ",".join(map(repr, row)) for row in fields.tolist()])
-    dense_literals = iter(["dense:" + format_dense_entries(m) for m in stack[~is_x]])
-    return [next(x_literals) if x else next(dense_literals) for x in is_x.tolist()]
+    floats = np.ascontiguousarray(stack, dtype=complex).reshape(-1, 16).view(float)
+    # of the 32 row-major (re, im) floats: a, b, c, d, then w and z as (re, im)
+    return is_x, floats[is_x][:, [0, 10, 20, 30, 6, 7, 12, 13]], floats[~is_x]
+
+
+def _stack_literals(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[str]:
+    """The literals of the members whose :func:`_literal_fields` are ``parts``, as
+    :func:`format_state_literal` writes them, in one :func:`format_rows` call per form."""
+    is_x, xs, dense = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    # a prefix after each row's last separator is the next row's; split on "\n"
+    x = iter(("x:" + format_rows(xs, [*_X_SEPARATORS, "\nx:"])).split("\n"))
+    dense = iter(("dense:" + format_rows(dense, [*_DENSE_SEPARATORS, "\ndense:"])).split("\n"))
+    return [next(x) if k else next(dense) for k in is_x.tolist()]
 
 
 def _x_fields(body: str) -> list[float]:

@@ -38,6 +38,7 @@ from esdkit import (
     thermal_product,
     werner,
 )
+from esdkit._floattext import _KERNEL_FROM
 from esdkit.classify import _CLASSIFY_MEMBERS
 from esdkit.errors import (
     EmptySetError,
@@ -230,8 +231,10 @@ def test_family_classification_matches_scalar_loop_bit_for_bit(w_zero, z_zero):
     for seed in (0, 1, 7):
         for n in (0, 1, 1000):
             assert_matches_scalar_loop(family, n, seed)
-    # several chunks of random members, the last one partial
+    # several chunks of random members, the last one partial; 600 members
+    # also cross the size from which format_rows uses its kernel
     assert_matches_scalar_loop(family, 2 * _CLASSIFY_MEMBERS + 5, 3)
+    assert_matches_scalar_loop(family, 600, 5)
 
 
 def test_thermal_points_match_scalar_loop_bit_for_bit():
@@ -265,11 +268,20 @@ def test_mixed_members_match_scalar_loop_bit_for_bit():
     assert kinds == ["x", "x", "x", "dense", "x", "x", "dense", "dense"]
     one = assert_matches_scalar_loop(ExplicitSamples((random_density(5),)))
     assert one.family == FAMILY_ONE
+    # more members than a chunk, each form above format_rows' kernel switch
+    many = MIXED_MEMBERS + tuple(
+        random_density(seed) if seed % 3 == 2 else embed_x(random_x(seed)) for seed in range(320))
+    label = assert_matches_scalar_loop(ExplicitSamples(many))
+    dense = sum(ev.state.startswith("dense:") for ev in label.evidence)
+    assert min(32 * dense, 8 * (len(many) - dense)) > _KERNEL_FROM
 
 
 def test_member_stack_classifies_as_explicit_samples():
     stack = np.array([rho.matrix for rho in MIXED_MEMBERS])
     assert classify_set(stack).evidence == classify_set(ExplicitSamples(MIXED_MEMBERS)).evidence
+    # a real-valued stack writes the eight x: fields, as its complex twin
+    real = classify_set(np.array([np.eye(4) / 4.0]))
+    assert real.evidence == classify_set(ExplicitSamples((maximally_mixed(),))).evidence
     one = classify_set(stack[3:4])
     assert (one.family, one.evidence) == (FAMILY_ONE, classify_set(
         ExplicitSamples(MIXED_MEMBERS[3:4])).evidence)
@@ -415,6 +427,12 @@ def test_scenario_json_matches_json_dumps_byte_for_byte():
         Evidence(state, RegionLabel(LABEL_BOUNDARY, margin))
         for state, margin in zip(states, margins)
     )))
+    # literals and margins above format_rows' kernel switch, margins hand-built
+    labels.append(classify_channel(CollectiveDephasing(1.0), n_samples=1000))
+    margins = (-0.0, 5e-324, 1e-05, 1e16, 1e22, -0.125, 1e300)
+    labels.append(ScenarioLabel(FAMILY_MULTI, "iv", tuple(
+        Evidence(states[k % 4], RegionLabel(LABEL_BOUNDARY, margins[k % 7] * (1 + k // 7)))
+        for k in range(2 * _KERNEL_FROM))))
     for label in labels:
         assert scenario_to_json(label) == scenario_to_json_reference(label)
 

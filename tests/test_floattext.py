@@ -1,9 +1,12 @@
-"""``_floattext.format_rows`` spells every float64 as ``repr`` does, byte for byte."""
+"""``_floattext.format_rows`` spells every float64 as ``repr`` does, byte for byte.
+
+Most tables here are below the size from which ``format_rows`` uses the
+Schubfach kernel, so they call the kernel, ``_kernel_rows``, directly."""
 
 import numpy as np
 import pytest
 
-from esdkit._floattext import _CHUNK, format_rows
+from esdkit._floattext import _CHUNK, _KERNEL_FROM, _kernel_rows, format_rows
 
 
 def assert_rows(text, expected):
@@ -19,7 +22,7 @@ def assert_rows(text, expected):
 def assert_repr(values):
     values = np.asarray(values, dtype=np.float64)
     expected = "".join(repr(v) + "\n" for v in values.tolist())
-    assert_rows(format_rows(values[:, None], ["\n"]), expected)
+    assert_rows(_kernel_rows(values[:, None], ["\n"]), expected)
 
 
 def neighbours(x, ulps=1000):
@@ -63,21 +66,21 @@ def test_zeros_infinities_nan_and_extremes():
         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
         -1.7976931348623157e308, 1.0, 0.1, 123456789012345.6, 1e22, 1e23,
     ])
-    assert format_rows(np.array([[np.nan, -np.nan]]), [",", "\n"]) == "nan,nan\n"
+    assert _kernel_rows(np.array([[np.nan, -np.nan]]), [",", "\n"]) == "nan,nan\n"
 
 
 def test_separators_follow_their_columns_row_major():
     table = np.array([[0.5, -1e-5, 3.0], [1e16, 0.0, -np.inf]] * 700)
     expected = "0.5,-1e-05,,,,,3.0\n1e+16,0.0,,,,,-inf\n" * 700
-    assert_rows(format_rows(table, [",", ",,,,,", "\n"]), expected)
+    assert_rows(_kernel_rows(table, [",", ",,,,,", "\n"]), expected)
 
 
 # --- trailing runs: each column's cells bitwise equal to its last are spelled once
 
-def assert_table(table, separators):
+def assert_table(table, separators, spell=_kernel_rows):
     table = np.asarray(table, dtype=np.float64)
     expected = "".join(repr(v) + sep for row in table.tolist() for v, sep in zip(row, separators))
-    assert_rows(format_rows(table, separators), expected)
+    assert_rows(spell(table, separators), expected)
 
 
 def test_signed_zero_tails_stay_apart():
@@ -108,7 +111,7 @@ def test_constant_columns_and_a_differing_last_row():
 
 
 def test_zero_and_one_row_tables():
-    assert format_rows(np.empty((0, 3)), [",", ",,,,,", "\n"]) == ""
+    assert _kernel_rows(np.empty((0, 3)), [",", ",,,,,", "\n"]) == ""
     assert_table([[0.5, -0.0, 1e-7]], [",", ",,,,,", "\n"])
 
 
@@ -127,3 +130,13 @@ def test_runs_across_row_blocks():
         table[start:, j] = table[-1, j]
     table[-1, 5] = 1.5
     assert_table(table, [","] * 5 + ["\n"])
+
+
+@pytest.mark.parametrize("columns", [1, 8, 32])
+def test_repr_below_the_switch_and_the_kernel_from_it(columns):
+    # a row below, at and a row above the switch
+    separators = ([":", ",,,,,"] + [","] * 30)[: columns - 1] + ["\n"]
+    rng = np.random.default_rng(columns)
+    for rows in (_KERNEL_FROM // columns - 1, _KERNEL_FROM // columns, _KERNEL_FROM // columns + 1):
+        bits = rng.integers(0, 2**64, (rows, columns), dtype=np.uint64)
+        assert_table(bits.view(np.float64), separators, format_rows)
