@@ -17,7 +17,9 @@ from esdkit import (
     bell,
     classify_position,
     death_time,
+    embed_x,
     estimate_asymptote,
+    propagate_x_closed,
     random_x,
     thermal_product,
     x_entangled,
@@ -54,8 +56,16 @@ while tested < 50:
 print(f"50/50 random entangled X states die in finite time "
       f"(latest t* = {latest:.3f})")
 
-# --- and the limit is the same wherever you start ---------------------------
+# --- and every start flows onto that same limit -----------------------------
 
-settled = estimate_asymptote(random_x(123), channel)
-print("max |settled - thermal| =",
-      float(np.abs(settled.matrix - limit.matrix).max()))
+start = random_x(123)
+settled = estimate_asymptote(start, channel)  # the exact projection: no propagation
+assert np.array_equal(settled.matrix, limit.matrix)
+gaps = []
+for t in (1.0, 2.0, 4.0, 8.0, 16.0):
+    late = embed_x(propagate_x_closed(start, channel, t))
+    gaps.append(float(np.abs(late.matrix - settled.matrix).max()))
+    print(f"t = {t:4.1f}: max |rho(t) - limit| = {gaps[-1]:.3e}")
+# the gap shrinks as exp(-gamma (2 nbar + 1) t) = exp(-2 t)
+assert all(later < 0.2 * earlier for earlier, later in zip(gaps, gaps[1:]))
+assert gaps[-1] < 1e-12

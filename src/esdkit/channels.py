@@ -42,6 +42,7 @@ suite cross-checks them against the numeric propagator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -252,26 +253,68 @@ def liouvillian(channel: ChannelSpec) -> np.ndarray:
     return out
 
 
-def _rk4_map(lv: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of ``dv/dt = lv v`` as a matrix.
-
-    For a time-independent generator the four stages collapse to
-    ``P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` (evaluated in
-    Horner form), so ``n`` steps are ``P(h)^n``.
-    """
-    eye = np.eye(lv.shape[0], dtype=complex)
-    a = h * lv
-    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-
-
 def _step_plan(t: float, dt: float) -> tuple[int, float]:
     """Steps from 0 to ``t``: ``n`` steps, the last of length
     ``min(dt, t - (n - 1) dt)``, with ``n = ceil(t / dt)`` robust to
-    roundoff in ``t / dt``."""
-    n_steps = max(1, int(np.ceil(t / dt * (1.0 - 1e-12))))
+    roundoff in ``t / dt``, which must be finite."""
+    steps = t / dt
+    if not math.isfinite(steps):
+        raise OutOfRangeError(f"step dt={dt!r} is too small for t={t!r}: t / dt overflows")
+    n_steps = max(1, int(np.ceil(steps * (1.0 - 1e-12))))
     # the fudge drops floor(1e-12 t / dt) whole steps once t / dt >= 1e12
     n_steps += max(0, round((t - n_steps * dt) / dt))
     return n_steps, min(dt, t - (n_steps - 1) * dt)
+
+
+def _rk4_samples(
+    lv: np.ndarray, v0: np.ndarray, dt: float, h_last: float, ks: list[int]
+) -> np.ndarray:
+    """RK4 for ``dv/dt = lv v`` from ``v0``: one row per step count in
+    ``ks``, which starts at 0 and rises by one hop up to its last entry
+    ``n``, at most one hop past the one before; step ``n`` has length
+    ``h_last``, the others ``dt``.
+
+    Steps are powers of ``P(h) = I + hL + ... + (hL)^4/24``, each kept as
+    its delta from ``I`` (a matrix ``math.expm1``), so a step far below
+    the generator's scale is not rounded away: ``D = P(h) - I`` is the
+    Horner form without its leading ``I``, squaring is ``D(D + 2I) = 2D +
+    D^2``, combining ``R + B + RB``, and a state advances as ``v + Dv``.
+    The hop powers' deltas ``G_1..G_B``, ``B`` about the root of the
+    sample count, advance ``B`` samples per batched product.  A step too
+    large for RK4 can overflow; :func:`_revalidate` reports it.
+    """
+    eye = np.eye(16, dtype=complex)
+    two_eye = 2.0 * eye
+
+    def delta(h: float) -> np.ndarray:
+        a = h * lv
+        return a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+
+    def combine(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return r + b + r @ b
+
+    def bits(n: int) -> list[np.ndarray]:  # the squares that combine to P(dt)^n - I
+        return [sq for k, sq in enumerate(squares) if n >> k & 1]
+
+    hops = len(ks) - 2  # samples reached by whole hops
+    vs = np.empty((len(ks), 16), dtype=complex)
+    vs[0] = v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [delta(dt)]  # P(dt)^(2^k) - I, up to the longest run ks[1]
+        for _ in range(ks[1].bit_length() - 1):
+            squares.append(squares[-1] @ (squares[-1] + two_eye))
+        if hops > 0:
+            g = [functools.reduce(combine, bits(ks[1]))]
+            for _ in range(1, math.isqrt(hops)):
+                g.append(combine(g[0], g[-1]))
+            g = np.stack(g)
+            for i in range(0, hops, len(g)):
+                block = g[: hops - i]
+                vs[i + 1 : i + 1 + len(block)] = vs[i] + block @ vs[i]
+        vs[-1] = vs[-2]
+        for d in bits(ks[-1] - ks[-2] - 1) + [squares[0] if h_last == dt else delta(h_last)]:
+            vs[-1] += d @ vs[-1]
+    return vs
 
 
 def _revalidate(stack: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +347,11 @@ def propagate_numeric(
     ``dt`` defaults to ``1e-3 / max_rate(channel)``.  The trajectory takes
     ``ceil(t / dt)`` steps, the last one shortened to end at ``t``: the
     step rule of :func:`~esdkit.dynamics.simulate`, whose last sample this
-    matches up to roundoff.  The steps are applied as powers of the
-    one-step RK4 matrix ``P(dt)`` (binary powering, O(log(t / dt)) matrix
-    products), which gives the same result as stepping up to roundoff.
+    is: the same RK4 primitive, asked only for step ``ceil(t / dt)``.  It
+    powers the one-step matrix ``P(dt)`` as deltas from ``I`` in
+    O(log(t / dt)) matrix products, so the result matches stepping up to
+    roundoff at every ``dt``, even where ``I + dt L`` rounds to ``I``; a
+    ``t / dt`` that overflows raises :class:`ValidationError`.
     Output is re-validated: a non-finite result, or one off Hermiticity or
     positivity by more than ``eps_psd`` or off unit trace by more than
     ``eps_trace``, raises :class:`StepTooLargeError`; the trace is then
@@ -320,14 +365,9 @@ def propagate_numeric(
         dt = 1e-3 / max_rate(channel)
     if not 0.0 < dt <= t:
         raise ValidationError(f"step dt={dt!r} must satisfy 0 < dt <= t={t!r}")
-    lv = liouvillian(channel)
     n_steps, h_last = _step_plan(t, dt)
-    # a step too large for RK4 can overflow; _revalidate reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = _rk4_map(lv, dt)
-        last = step if h_last == dt else _rk4_map(lv, h_last)
-        v = last @ (np.linalg.matrix_power(step, n_steps - 1) @ rho0.matrix.reshape(16))
-    return _unchecked_density(_revalidate(v.reshape(1, 4, 4), tol)[0][0])
+    v = _rk4_samples(liouvillian(channel), rho0.matrix.reshape(16), dt, h_last, [0, n_steps])
+    return _unchecked_density(_revalidate(v[-1].reshape(1, 4, 4), tol)[0][0])
 
 
 def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray, ...]:

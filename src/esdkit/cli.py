@@ -35,7 +35,7 @@ from .dynamics import (
     simulate,
     trajectory_to_csv,
 )
-from .errors import NotXFormError, ParseError, ValidationError
+from .errors import NotXFormError, OutOfRangeError, ParseError, ValidationError
 from .states import (
     DensityMatrix,
     ToleranceConfig,
@@ -246,7 +246,10 @@ def cmd_evolve(config: RunConfig) -> int:
     channel = _require(config.channel, "channel")
     state = _require(config.state, "state")
     horizon = _require(config.horizon, "horizon")
-    traj = simulate(state, channel, horizon, dt=config.dt, tol=config.tol)
+    try:
+        traj = simulate(state, channel, horizon, dt=config.dt, tol=config.tol)
+    except OutOfRangeError as exc:  # horizon / dt overflows the step count
+        raise ParseError(f"invalid --dt: {exc}") from None
     _emit(trajectory_to_csv(traj), config.out)
     return 0
 

@@ -54,17 +54,13 @@ from .channels import (
     is_catalog,
     liouvillian,
     max_rate,
-    propagate_numeric,
-    propagate_x_closed,
-    set_contains,
     x_closed_curves,
     _revalidate,
-    _rk4_map,
+    _rk4_samples,
     _step_plan,
 )
 from .entanglement import _partial_transpose_many
 from .errors import (
-    NoConvergenceError,
     NotXFormError,
     ParseError,
     UnsupportedChannelError,
@@ -75,6 +71,7 @@ from .states import (
     DensityMatrix,
     ToleranceConfig,
     XState,
+    _unchecked_density,
     _x_matrices,
     embed_x,
     make_x,
@@ -268,14 +265,15 @@ def simulate(
     with fixed-step RK4.  ``dt`` defaults to ``1e-3 / max_rate(channel)``
     and ``sample_every`` is chosen to retain about ``DEFAULT_SAMPLES``
     samples.  The final sample lands on ``horizon`` exactly, after one
-    shorter last step when ``horizon`` is not a multiple of ``dt``.  RK4
-    runs as powers of its one-step matrix ``P(dt)``: blocks of the hop
-    powers ``H^1..H^B``, ``H = P(dt)^sample_every`` and ``B`` about the
-    root of the sample count, advance ``B`` samples per batched product,
-    with the same result as stepping up to roundoff.  All retained samples
-    are re-validated together; the earliest failing one raises
-    :class:`~esdkit.errors.StepTooLargeError`.  A bare ``XState`` is
-    validated as :func:`~esdkit.states.make_x` would.
+    shorter last step when ``horizon`` is not a multiple of ``dt`` (a
+    ``horizon / dt`` that overflows raises :class:`ValidationError`).  RK4
+    runs as powers of its one-step matrix ``P(dt)``, kept as deltas from
+    ``I``: blocks of the hop powers ``H^1..H^B``, ``H = P(dt)^sample_every``
+    and ``B`` about the root of the sample count, advance ``B`` samples per
+    batched product, with the same result as stepping up to roundoff at
+    any ``dt``.  All retained samples are re-validated together; the
+    earliest failing one raises :class:`~esdkit.errors.StepTooLargeError`.
+    A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
     """
     _require_positive("horizon", horizon)
     if dt is None:
@@ -303,24 +301,7 @@ def simulate(
     else:
         if x0 is not None and not isinstance(state0, DensityMatrix):
             state0 = embed_x(x0)
-        lv = liouvillian(channel)
-        step = _rk4_map(lv, dt)
-        hops = len(ks) - 2  # samples reached by whole hops
-        vs = np.empty((len(ks), 16), dtype=complex)
-        vs[0] = state0.matrix.reshape(16)
-        # a step too large for RK4 can overflow; _revalidate reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = [np.linalg.matrix_power(step, sample_every)]
-            for _ in range(1, math.isqrt(hops)):
-                powers.append(powers[0] @ powers[-1])
-            powers = np.stack(powers)
-            for i in range(0, hops, len(powers)):
-                block = powers[: hops - i]
-                vs[i + 1 : i + 1 + len(block)] = block @ vs[i]
-            last = _rk4_map(lv, h_last) @ np.linalg.matrix_power(
-                step, ks[-1] - ks[-2] - 1
-            )
-            vs[-1] = last @ vs[-2]
+        vs = _rk4_samples(liouvillian(channel), state0.matrix.reshape(16), dt, h_last, ks)
         later, later_min = _revalidate(vs[1:].reshape(-1, 4, 4), tol)
         stack = np.concatenate([state0.matrix[None], later])
         min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
@@ -536,50 +517,25 @@ def estimate_asymptote(
     channel: ChannelSpec,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> DensityMatrix:
-    """Propagate with a doubling horizon until the state stops moving.
+    """The long-time limit of ``state0``: its exact projection onto
+    :func:`~esdkit.channels.asymptotic_set`, with no propagation.
 
-    Convergence means entrywise change below 1e-10 over one doubling; the
-    limit is then verified to lie in the channel's asymptotic set (within
-    1e-8).  Raises :class:`NoConvergenceError` after 40 doublings, or if
-    the settled state is outside the set.  Dense states go through
-    :func:`~esdkit.channels.propagate_numeric`, whose cost grows with the
-    log of the step count, so there is no step budget.  A bare ``XState``
-    is validated as :func:`~esdkit.states.make_x` would.
+    Decay sends every state to the thermal product; independent dephasing
+    keeps the diagonal of ``rho0``; collective dephasing keeps the
+    diagonal and the 0-based ``[1, 2]`` and ``[2, 1]`` entries (the
+    decoherence-free coherence ``z``).  Every other entry decays to 0.  A
+    bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
     """
     if not is_catalog(channel):
         raise UnsupportedChannelError("estimate_asymptote requires a catalog channel")
     target = asymptotic_set(channel)
     x0 = _x_form(state0, tol)
-
-    rate = max_rate(channel)
-    horizon = 1.0 / rate
-    dt = 1e-3 / rate
-
-    def finish(limit: DensityMatrix) -> DensityMatrix:
-        if not set_contains(target, limit, 1e-8):
-            raise NoConvergenceError(
-                "propagation settled outside the channel's asymptotic set"
-            )
-        return limit
-
-    if x0 is not None:
-        prev = embed_x(propagate_x_closed(x0, channel, horizon))
-        for _ in range(40):
-            cur = embed_x(propagate_x_closed(x0, channel, 2.0 * horizon))
-            if float(np.abs(cur.matrix - prev.matrix).max()) < 1e-10:
-                return finish(cur)
-            prev = cur
-            horizon *= 2.0
-    else:
-        prev = propagate_numeric(state0, channel, horizon, dt, tol)
-        for _ in range(40):
-            # the increment from T to 2T equals the current horizon
-            cur = propagate_numeric(prev, channel, horizon, dt, tol)
-            if float(np.abs(cur.matrix - prev.matrix).max()) < 1e-10:
-                return finish(cur)
-            prev = cur
-            horizon *= 2.0
-    raise NoConvergenceError("no entrywise convergence after 40 horizon doublings")
+    if isinstance(channel, IndependentDecay):  # a single point, the thermal product
+        return target.state
+    m = (embed_x(x0) if isinstance(state0, XState) else state0).matrix
+    keep = np.eye(4, dtype=bool)
+    keep[1, 2] = keep[2, 1] = not target.z_zero
+    return _unchecked_density(np.where(keep, m, 0.0))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -52,7 +52,7 @@ class StepTooLargeError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """An iterative procedure exhausted its budget without converging."""
+    """No longer raised by esdkit; kept so that imports and ``except`` clauses work."""
 
 
 class EmptySetError(ValueError):

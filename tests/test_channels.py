@@ -28,6 +28,7 @@ from esdkit import (
     max_rate,
     maximally_mixed,
     parse_channel_literal,
+    parse_state_literal,
     project_x,
     propagate_numeric,
     propagate_x_closed,
@@ -292,6 +293,52 @@ def test_propagate_numeric_overflow_fails_validation():
     for t in (1000.0, 4000.0):
         with pytest.raises(StepTooLargeError):
             propagate_numeric(rho, IndependentDecay(1.0, 1.0), t, dt=4.0)
+
+
+# a dense state off the X pattern; its X part still has closed-form curves
+SMALL_STEP_STATE = ("dense:0.4:0,0.05:0,0:0,0.2:0,0.05:0,0.1:0,0.05:0,0:0,"
+                    "0:0,0.05:0,0.1:0,0:0,0.2:0,0:0,0:0,0.4:0")
+X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2))
+
+
+def x_part(m):
+    return make_x(*(m[i, i].real for i in range(4)), complex(m[0, 3]), complex(m[1, 2]))
+
+
+def x_part_error(m, x, channel, t):
+    ref = np.array([col[0] for col in x_closed_curves(x, channel, np.array([t]))])
+    return float(np.abs(np.array([m[i, j] for i, j in X_ENTRIES]) - ref).max())
+
+
+@pytest.mark.parametrize("literal", ["decay:1,0.7,0.3", "decay:1,1,0", "dephase:1,1",
+                                     "collective:1"])
+@pytest.mark.parametrize("dt", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-30, 1e-100, 1e-300])
+def test_small_steps_stay_accurate(literal, dt):
+    # each channel's leading rate is 1, so dt is dt * rate; from 1e-17 down
+    # I + dt L rounds to I, so only powers kept as deltas from I get here
+    rho = parse_state_literal(SMALL_STEP_STATE)
+    channel = parse_channel_literal(literal)
+    x = x_part(rho.matrix)
+    for out in (propagate_numeric(rho, channel, 5.0, dt).matrix,
+                simulate(rho, channel, 5.0, dt).states[-1].matrix):
+        assert x_part_error(out, x, channel, 5.0) <= 1e-14
+        assert abs(np.trace(out) - 1.0) <= 1e-14
+
+
+def test_overflowing_step_count_is_a_validation_error():
+    channel = IndependentDecay(1.0, 1.0)
+    rho = parse_state_literal(SMALL_STEP_STATE)
+    with pytest.raises(ValidationError, match=r"t / dt overflows$"):
+        propagate_numeric(rho, channel, float("inf"))
+    # the X path plans its steps too, before it branches
+    for state in (rho, random_x(4)):
+        with pytest.raises(ValidationError, match=r"^step dt=5e-324 is too small for t=5.0"):
+            simulate(state, channel, 5.0, dt=5e-324)
+    # a finite t / dt near the float maximum still runs, on ~1,000 squarings
+    x = x_part(rho.matrix)
+    for out in (propagate_numeric(rho, channel, 1.0, dt=5.6e-309).matrix,
+                simulate(rho, channel, 1.0, dt=5.6e-309).states[-1].matrix):
+        assert x_part_error(out, x, channel, 1.0) <= 1e-14
 
 
 # members for crafted revalidation stacks: the trace is 1.25, a negative

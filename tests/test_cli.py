@@ -412,8 +412,14 @@ def dense_literal_with(first_entry: str) -> str:
     ("evolve", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "inf"),
     ("sweep", "--channel", "decay:1,1,0", "--state", "x:0.4,0.1,0.1,0.4,0.1,0,0,0",
      "--grid", "w=nan:0.1:2"),
+    # horizon / dt overflows to inf steps, on both paths of evolve
+    ("evolve", "--channel", "decay:1,1,0", "--state", PURE_07, "--horizon", "5",
+     "--dt", "5e-324"),
+    ("evolve", "--channel", "decay:1,1,0", "--state", dense_literal_with("0.25:0"),
+     "--horizon", "5", "--dt", "5e-324"),
 ], ids=["x-state", "dense-state", "decay-rate", "collective-rate", "infinite-rate",
-        "nan-horizon", "nan-dt", "infinite-horizon", "grid-bound"])
+        "nan-horizon", "nan-dt", "infinite-horizon", "grid-bound", "step-count-x",
+        "step-count-dense"])
 def test_non_finite_inputs_exit_2(args):
     result = run_cli(*args)
     assert result.returncode == 2, (result.returncode, result.stderr)
@@ -563,6 +569,26 @@ def test_dense_state_near_float_max_exits_2(name, message, capsys):
     argv = ["evolve", "--channel", "dephase:1,1", "--horizon", "1", "--state", BAD_DENSE[name]]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid --state: {message} ")
+
+
+SMALL_STEP_STATE = ("dense:0.4:0,0.05:0,0:0,0.2:0,0.05:0,0.1:0,0.05:0,0:0,"
+                    "0:0,0.05:0,0.1:0,0:0,0.2:0,0:0,0:0,0.4:0")
+
+
+def test_tiny_dense_steps_still_move_the_state(capsys):
+    def run(channel, dt):
+        argv = ["evolve", "--channel", channel, "--horizon", "5", "--dt", dt,
+                "--state", SMALL_STEP_STATE]
+        return cli.main(argv), capsys.readouterr()
+
+    # at dt = 1e-300, I + dt L rounds to I; the steps must still add up
+    code, captured = run("dephase:1,1", "1e-300")
+    assert code == 0
+    last = parse_trajectory_csv(captured.out)["abs_w"][-1]
+    assert abs(last - 0.2 * np.exp(-10.0)) <= 1e-14
+    # decay keeps unit trace at small steps, so revalidation passes
+    code, captured = run("decay:1,1,0", "1e-9")
+    assert code == 0, captured.err
 
 
 @pytest.mark.parametrize("dt", ["3", "30"])

@@ -42,7 +42,7 @@ from esdkit import (
     trajectory_to_csv,
     werner,
 )
-from esdkit.channels import x_closed_curves
+from esdkit.channels import asymptotic_set, set_contains, x_closed_curves
 from esdkit.dynamics import _death_reports, _x_diagnostics
 from esdkit.errors import (
     NegativePopulationError,
@@ -573,6 +573,48 @@ def test_estimate_asymptote_numeric_path_for_dense_state():
     )
     off = limit.matrix - np.diag(np.diag(limit.matrix))
     assert float(np.abs(off).max()) < 1e-8
+    # collective dephasing keeps the dense state's inner coherence exactly
+    limit = estimate_asymptote(rho, CollectiveDephasing(1.0))
+    np.testing.assert_array_equal(np.diag(limit.matrix), np.diag(rho.matrix))
+    assert limit.matrix[1, 2] == rho.matrix[1, 2] and limit.matrix[2, 1] == rho.matrix[2, 1]
+    kept = np.zeros((4, 4), dtype=bool)
+    kept[[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]] = True
+    assert not limit.matrix[~kept].any()
+
+
+# each channel with its slowest relaxation rate
+PROJECTION_CHANNELS = [
+    (IndependentDecay(1.0, 0.7, 0.0), 0.7),
+    (IndependentDecay(0.3, 1.0, 0.5), 0.6),
+    (IndependentDephasing(1.0, 0.2), 1.2),
+    (CollectiveDephasing(0.8), 1.6),
+]
+
+
+def asymptotic_projection(m, channel):
+    """The limit map, built by hand from the channel's asymptotic set."""
+    if isinstance(channel, IndependentDecay):
+        return thermal_product(channel.nbar).matrix
+    out = np.diag(np.diag(m))
+    if isinstance(channel, CollectiveDephasing):
+        out[1, 2], out[2, 1] = m[1, 2], m[2, 1]
+    return out
+
+
+@pytest.mark.parametrize("channel,slowest", PROJECTION_CHANNELS,
+                         ids=["decay", "thermal-decay", "dephase", "collective"])
+@pytest.mark.parametrize("seed", range(12))
+def test_estimate_asymptote_is_the_projection(channel, slowest, seed):
+    x = random_x(seed)
+    for state in (random_density(seed), embed_x(x), x):
+        limit = estimate_asymptote(state, channel)
+        start = embed_x(x).matrix if state is x else state.matrix
+        assert np.array_equal(limit.matrix, asymptotic_projection(start, channel))
+        assert set_contains(asymptotic_set(channel), limit, 0.0)
+    # the map agrees with the dynamics: the closed form at a late time
+    late = np.array([60.0 / slowest])
+    curves = [col[0] for col in x_closed_curves(x, channel, late)]
+    np.testing.assert_allclose(limit.matrix, embed_x(XState(*curves)).matrix, rtol=0, atol=1e-12)
 
 
 def test_estimate_asymptote_refusals():
