@@ -14,16 +14,17 @@ Members are classified in one batched pass: they are built as (k, 4, 4)
 stacks of at most ``_CLASSIFY_MEMBERS`` (X-family members straight from
 parameter arrays), and each stack is validated, partially transposed and
 diagonalized as a whole.  A malformed member of an explicit set fails
-loudly, naming its position, instead of being labelled.  The evidence
-bytes are those of classifying and formatting one member at a time.
+loudly, naming its position, instead of being labelled.  Members stay
+columns up to the evidence bytes, those of one member at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -38,7 +39,7 @@ from .channels import (
     asymptotic_set,
     is_catalog,
 )
-from .entanglement import LABEL_BOUNDARY, LABEL_ENTANGLED, LABEL_INTERIOR, RegionLabel, _regions
+from .entanglement import _LABELS, RegionLabel, _regions
 from .errors import (
     EmptySetError,
     OutOfRangeError,
@@ -72,7 +73,9 @@ __all__ = [
 FAMILY_ONE = "one"
 FAMILY_MULTI = "multi"
 CASES = ("i", "ii", "iii", "iv")
-_REGION_NAMES = (LABEL_INTERIOR, LABEL_BOUNDARY, LABEL_ENTANGLED)
+# the JSON text between an evidence entry's state and its margin, given its quoted label
+_middle = '",\n      "label": {},\n      "margin": '.format
+_MIDDLES = np.array([_middle(_quote(name)) for name in _LABELS], dtype=object)
 
 # members per chunk of a batched classification; each chunk's arrays stay
 # below glibc's default 128 KiB mmap threshold, whose dynamic raise on
@@ -89,12 +92,41 @@ class Evidence:
 
 
 @dataclass(frozen=True, eq=False)
+class _EvidenceView(Sequence):
+    """Read-only sequence over :func:`classify_set`'s member columns; each access
+    builds an :class:`Evidence`.  Equal to, and hashed as, the tuple of them."""
+
+    literals: list = field(repr=False)
+    codes: np.ndarray = field(repr=False)
+    margins: np.ndarray = field(repr=False)
+    rank_margins: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.literals)
+
+    def __getitem__(self, i) -> Evidence:
+        i = operator.index(i)
+        return Evidence(self.literals[i], RegionLabel(
+            _LABELS[self.codes[i]], float(self.margins[i]), float(self.rank_margins[i])))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _EvidenceView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioLabel:
-    """Scenario assignment with the member evidence that produced it."""
+    """Scenario assignment with the member evidence that produced it: a
+    tuple of :class:`Evidence` if built by hand, and from :func:`classify_set`
+    a read-only sequence that builds each :class:`Evidence` when it is read."""
 
     family: str
     case: str
-    evidence: tuple
+    evidence: Sequence
 
     def __post_init__(self) -> None:
         if self.family not in (FAMILY_ONE, FAMILY_MULTI):
@@ -103,7 +135,8 @@ class ScenarioLabel:
             raise ValidationError(f"unknown case {self.case!r}")
         if self.case == "iv" and self.family != FAMILY_MULTI:
             raise ValidationError("case iv requires a multi-state asymptotic set")
-        object.__setattr__(self, "evidence", tuple(self.evidence))
+        if not isinstance(self.evidence, _EvidenceView):
+            object.__setattr__(self, "evidence", tuple(self.evidence))
 
 
 # deterministic probe populations: simplex vertices and face centers
@@ -173,15 +206,22 @@ def _family_chunks(family: XFamily, n_samples: int, seed: int) -> Iterator[np.nd
 
 def _member_chunks(aset: AsymptoticSet | np.ndarray, n_samples: int,
                    seed: int) -> Iterator[np.ndarray]:
-    """The members of :func:`sample_asymptotic`, or of a member array, in
-    order, as stacks of at most ``_CLASSIFY_MEMBERS``; X-family members
-    come straight from parameter arrays."""
-    # a negative count falls through to sample_asymptotic, which rejects it
-    if isinstance(aset, XFamily) and n_samples >= 0:
+    """The members of :func:`sample_asymptotic`, or of an (n, 4, 4) member
+    array, in order, as stacks of at most ``_CLASSIFY_MEMBERS``; X-family
+    members come straight from parameter arrays."""
+    if isinstance(aset, XFamily):
         return _family_chunks(aset, n_samples, seed)
+    if isinstance(aset, np.ndarray) and (aset.ndim != 3 or aset.shape[1:] != (4, 4)):
+        raise ValidationError(f"expected an (n, 4, 4) member array, got shape {aset.shape}")
     stack = aset if isinstance(aset, np.ndarray) else np.array(
         [m.matrix for m in sample_asymptotic(aset, n_samples, seed)])
     return (stack[i:i + _CLASSIFY_MEMBERS] for i in range(0, len(stack), _CLASSIFY_MEMBERS))
+
+
+def _check_sampling(n_samples: int, seed: int) -> None:
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if value < 0:
+            raise OutOfRangeError(f"{name} must be nonnegative, got {value!r}")
 
 
 def sample_asymptotic(
@@ -192,10 +232,10 @@ def sample_asymptotic(
     Single points and explicit sets return their states as-is; X families
     return the deterministic extreme members (simplex vertices and face
     centers, each with coherences at 0 and at the positivity bound) plus
-    ``n_samples`` seeded uniform interior members.
+    ``n_samples`` seeded uniform interior members.  A negative ``n_samples``
+    or ``seed`` raises :class:`~esdkit.errors.OutOfRangeError`.
     """
-    if n_samples < 0:
-        raise OutOfRangeError(f"n_samples must be nonnegative, got {n_samples!r}")
+    _check_sampling(n_samples, seed)
     if isinstance(aset, SinglePoint):
         return [aset.state]
     if isinstance(aset, ExplicitSamples):
@@ -223,32 +263,38 @@ def classify_set(
 
     Members are built and classified in one batched pass over (k, 4, 4)
     stacks of at most ``_CLASSIFY_MEMBERS``, so that memory stays flat in
-    ``n_samples``; X-family members come straight from parameter arrays.
-    A malformed member (non-finite, non-Hermitian, off unit trace or not
-    positive) raises a :class:`~esdkit.errors.ValidationError` naming its
-    position.  Labels, margins and evidence literals are byte for byte
-    those of :func:`~esdkit.entanglement.classify_position` and
+    ``n_samples``; X-family members come straight from parameter arrays,
+    and the result keeps them as columns, its ``evidence`` building each
+    :class:`Evidence` when it is read.  A malformed member (non-finite,
+    non-Hermitian, off unit trace or not positive) raises a
+    :class:`~esdkit.errors.ValidationError` naming its position, as does a
+    member array not of shape (n, 4, 4); a negative ``n_samples`` or
+    ``seed`` raises :class:`~esdkit.errors.OutOfRangeError`.  Labels,
+    margins and evidence literals are byte for byte those of
+    :func:`~esdkit.entanglement.classify_position` and
     :func:`~esdkit.states.format_state_literal` applied member by member.
     """
-    regions, fields = [], []
+    _check_sampling(n_samples, seed)
+    parts, count = [], 0
     for chunk in _member_chunks(aset, n_samples, seed):
-        regions += _regions(chunk, tol, len(regions))
-        fields.append(_literal_fields(chunk))
-    if not regions:
+        parts.append((*_regions(chunk, tol, count), *_literal_fields(chunk)))
+        count += len(chunk)
+    if not count:
         raise EmptySetError("asymptotic set has no members to classify")
-    evidence = list(map(Evidence, _stack_literals(fields), regions))
+    codes, margins, rank_margins, *fields = map(np.concatenate, zip(*parts))
     single = isinstance(aset, SinglePoint) or (
-        isinstance(aset, (ExplicitSamples, np.ndarray)) and len(evidence) == 1
+        isinstance(aset, (ExplicitSamples, np.ndarray)) and count == 1
     )
     family = FAMILY_ONE if single else FAMILY_MULTI
-    labels = {ev.region.label for ev in evidence}
-    if LABEL_ENTANGLED in labels:
-        case = "iv" if len(labels) > 1 else "iii"
-    elif LABEL_BOUNDARY in labels:
+    interior, boundary, entangled = np.bincount(codes, minlength=3) > 0
+    if entangled:
+        case = "iv" if interior or boundary else "iii"
+    elif boundary:
         case = "ii"
     else:
         case = "i"
-    return ScenarioLabel(family, case, tuple(evidence))
+    evidence = _EvidenceView(_stack_literals(*fields), codes, margins, rank_margins)
+    return ScenarioLabel(family, case, evidence)
 
 
 def classify_channel(
@@ -273,17 +319,38 @@ def classify_channel(
 def scenario_to_json(label: ScenarioLabel) -> str:
     """The label as JSON with an indent of 2: the bytes of ``json.dumps``
     on the same fields in the same order, plus a newline.  Margins are
-    written as their shortest round-trip floats and must be finite."""
-    margins = [float(ev.region.margin) for ev in label.evidence]
-    if not all(map(math.isfinite, margins)):
+    written as their shortest round-trip floats and must be finite.
+
+    A label from :func:`classify_set` is written from its columns, with no
+    per-member object; a hand-built one from its :class:`Evidence`."""
+    evidence = label.evidence
+    if isinstance(evidence, _EvidenceView):
+        # these literals spell only x d e n s : , . + - and digits, which
+        # JSON keeps as they are: quotes suffice
+        states, middles = evidence.literals, _MIDDLES[evidence.codes].tolist()
+        margins = evidence.margins
+    else:
+        # a hand-built label may hold any string: escape it, and drop the
+        # quotes the constant text already has
+        states = [_quote(ev.state)[1:-1] for ev in evidence]
+        middles = [_middle(_quote(ev.region.label)) for ev in evidence]
+        margins = np.array([float(ev.region.margin) for ev in evidence])
+    if not np.isfinite(margins).all():
         raise ValidationError("scenario evidence has a non-finite margin")
-    spelled = format_rows(np.array(margins)[:, None], ["\n"]).split("\n")
-    entries = ",\n".join(
-        f'    {{\n      "state": {_quote(ev.state)},\n      "label": {_quote(ev.region.label)},\n'
-        f'      "margin": {margin}\n    }}' for ev, margin in zip(label.evidence, spelled))
-    evidence = f"[\n{entries}\n  ]" if entries else "[]"
-    return (f'{{\n  "family": {_quote(label.family)},\n  "case": {_quote(label.case)},\n'
-            f'  "evidence": {evidence}\n}}\n')
+    head = (f'{{\n  "family": {_quote(label.family)},\n  "case": {_quote(label.case)},\n'
+            '  "evidence": ')
+    n = len(states)
+    if not n:
+        return head + "[]\n}\n"
+    # per member: its state, label and margin, each after constant text
+    pieces = [""] * (4 * n + 1)
+    pieces[0] = head + '[\n    {\n      "state": "'
+    pieces[1::4] = states
+    pieces[2::4] = middles
+    pieces[3::4] = format_rows(margins[:, None], ["\n"]).split("\n")[:-1]
+    pieces[4::4] = ['\n    },\n    {\n      "state": "'] * n
+    pieces[-1] = "\n    }\n  ]\n}\n"
+    return "".join(pieces)
 
 
 def scenario_from_json(text: str) -> ScenarioLabel:
@@ -301,10 +368,10 @@ def scenario_from_json(text: str) -> ScenarioLabel:
     for idx, entry in enumerate(payload["evidence"]):
         entry = entry if isinstance(entry, dict) else {}
         state, region, margin = entry.get("state"), entry.get("label"), entry.get("margin")
-        if not (isinstance(state, str) and region in _REGION_NAMES
+        if not (isinstance(state, str) and region in _LABELS
                 and isinstance(margin, float) and math.isfinite(margin)):
             raise ParseError(f"evidence entry {idx + 1} needs a string state, a label in "
-                             f"{_REGION_NAMES} and a finite number as margin")
+                             f"{_LABELS} and a finite number as margin")
         evidence.append(Evidence(state, RegionLabel(region, margin)))
     try:
         return ScenarioLabel(str(payload["family"]), str(payload["case"]), tuple(evidence))

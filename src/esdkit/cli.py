@@ -164,7 +164,7 @@ _FIELDS = {
     "state": ("state", parse_state_literal),
     "horizon": ("horizon", _positive),
     "dt": ("dt", _positive),
-    "seed": ("seed", int),
+    "seed": ("seed", _at_least(0)),
     "eps_death": ("tol", lambda text: ToleranceConfig(eps_death=float(text))),
     "out": ("out", str),
     "jobs": (None, _at_least(1)),

@@ -37,7 +37,7 @@ LABEL_INTERIOR = "interior"
 LABEL_BOUNDARY = "boundary"
 LABEL_ENTANGLED = "entangled"
 # label of each code the batched classifier assigns
-_LABELS = np.array([LABEL_INTERIOR, LABEL_BOUNDARY, LABEL_ENTANGLED], dtype=object)
+_LABELS = (LABEL_INTERIOR, LABEL_BOUNDARY, LABEL_ENTANGLED)
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,10 @@ def x_entangled(x: XState, tol: ToleranceConfig = DEFAULT_TOL) -> XVerdict:
 
 def _regions(
     stack: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, first: int | None = None
-) -> list[RegionLabel]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate (see :func:`~esdkit.states._density_stack`) and locate
-    every state of an (n, 4, 4) stack at once.
+    every state of an (n, 4, 4) stack at once, as the columns ``(codes, margins,
+    rank_margins)``; ``codes`` index ``_LABELS`` by the rule of :func:`classify_position`.
 
     Margins and rank margins are bit for bit those of
     :func:`eigenvalues_hermitian` member by member.
@@ -159,8 +160,7 @@ def _regions(
     # exact symmetrization of the states
     margin = np.linalg.eigvalsh(_partial_transpose_many(states))[:, 0]
     interior = (margin > tol.eps_ent) & (rank_margin > tol.eps_ent)
-    codes = np.where(margin < -tol.eps_ent, 2, np.where(interior, 0, 1))
-    return list(map(RegionLabel, _LABELS[codes].tolist(), margin.tolist(), rank_margin.tolist()))
+    return np.where(margin < -tol.eps_ent, 2, np.where(interior, 0, 1)), margin, rank_margin
 
 
 def classify_position(
@@ -174,4 +174,5 @@ def classify_position(
     This is the batched classifier run on a stack of one, so it rejects
     the same malformed states (see :func:`_regions`).
     """
-    return _regions(rho.matrix[None], tol)[0]
+    (code,), (margin,), (rank_margin,) = _regions(rho.matrix[None], tol)
+    return RegionLabel(_LABELS[code], float(margin), float(rank_margin))

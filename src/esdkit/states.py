@@ -547,14 +547,15 @@ def _literal_fields(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return is_x, floats[is_x][:, [0, 10, 20, 30, 6, 7, 12, 13]], floats[~is_x]
 
 
-def _stack_literals(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[str]:
-    """The literals of the members whose :func:`_literal_fields` are ``parts``, as
-    :func:`format_state_literal` writes them, in one :func:`format_rows` call per form."""
-    is_x, xs, dense = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    # a prefix after each row's last separator is the next row's; split on "\n"
-    x = iter(("x:" + format_rows(xs, [*_X_SEPARATORS, "\nx:"])).split("\n"))
-    dense = iter(("dense:" + format_rows(dense, [*_DENSE_SEPARATORS, "\ndense:"])).split("\n"))
-    return [next(x) if k else next(dense) for k in is_x.tolist()]
+def _stack_literals(is_x: np.ndarray, xs: np.ndarray, dense: np.ndarray) -> list[str]:
+    """The literals of the members whose :func:`_literal_fields` are ``is_x, xs, dense``,
+    as :func:`format_state_literal` writes them, in one :func:`format_rows` call per form."""
+    # each row's last separator is "\n" and the next row's prefix; the last piece is bare
+    literals = np.empty(len(is_x), dtype=object)
+    literals[is_x] = ("x:" + format_rows(xs, [*_X_SEPARATORS, "\nx:"])).split("\n")[:-1]
+    literals[~is_x] = ("dense:" + format_rows(
+        dense, [*_DENSE_SEPARATORS, "\ndense:"])).split("\n")[:-1]
+    return literals.tolist()
 
 
 def _x_fields(body: str) -> list[float]:

@@ -1,5 +1,8 @@
 """Scenario classification of asymptotic sets and channels."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,7 @@ from esdkit.errors import (
     UnsupportedChannelError,
     ValidationError,
 )
+from esdkit.states import _X_PATTERN, _literal_fields, _stack_literals
 
 DEFAULT_EPS_ENT = 1e-10
 
@@ -73,6 +77,19 @@ def test_sample_x_family_counts():
     assert len(with_z) == 12 + 5
     with pytest.raises(OutOfRangeError):
         sample_asymptotic(diag and XFamily(w_zero=True, z_zero=True), n_samples=-1)
+
+
+def test_negative_seed_or_count_is_refused_for_every_set_type():
+    sets = (SinglePoint(thermal_product(0.0)), ExplicitSamples((maximally_mixed(),)),
+            XFamily(w_zero=True, z_zero=False))
+    for aset in (*sets, np.array([np.eye(4) / 4.0])):
+        for n_samples, seed, name in ((0, -3, "seed"), (5, -1, "seed"), (-1, 0, "n_samples")):
+            match = f"^{name} must be nonnegative, got -"
+            with pytest.raises(OutOfRangeError, match=match):
+                classify_set(aset, n_samples=n_samples, seed=seed)
+            if not isinstance(aset, np.ndarray):
+                with pytest.raises(OutOfRangeError, match=match):
+                    sample_asymptotic(aset, n_samples=n_samples, seed=seed)
 
 
 def test_sample_x_family_members_valid_and_deterministic():
@@ -287,6 +304,42 @@ def test_member_stack_classifies_as_explicit_samples():
         ExplicitSamples(MIXED_MEMBERS[3:4])).evidence)
 
 
+@pytest.mark.parametrize("members", [
+    np.zeros((2, 4)), np.array([np.eye(3) / 3.0] * 2), np.zeros((2, 3, 3)), np.eye(4) / 4.0,
+], ids=["2x4", "eye3-stack", "zeros3-stack", "bare-4x4"])
+def test_member_array_of_wrong_shape_is_refused(members):
+    shape = re.escape(str(members.shape))
+    with pytest.raises(ValidationError, match=rf"^expected an \(n, 4, 4\) member array, "
+                                              rf"got shape {shape}$"):
+        classify_set(members)
+
+
+def test_classify_set_evidence_is_a_read_only_sequence():
+    label = classify_set(ExplicitSamples(MIXED_MEMBERS))
+    evidence, built = label.evidence, tuple(label.evidence)
+    assert len(evidence) == len(built) == len(MIXED_MEMBERS)
+    assert all(isinstance(ev, Evidence) for ev in built)
+    assert (evidence[0], evidence[-1]) == (built[0], built[-1])
+    with pytest.raises(IndexError):
+        evidence[len(MIXED_MEMBERS)]
+    with pytest.raises(TypeError):
+        evidence[0] = built[1]
+    with pytest.raises(TypeError):
+        evidence[:2]
+    assert list(evidence) == list(built)
+    assert evidence == built and built == evidence
+    assert evidence != built[:-1] and built[:-1] != evidence
+    assert evidence != list(built)
+    assert hash(evidence) == hash(built)
+    # JSON carries no rank margin: the round trip is the evidence without it,
+    # which writes the same bytes by the hand-built path
+    bare = tuple(Evidence(ev.state, RegionLabel(ev.region.label, ev.region.margin))
+                 for ev in evidence)
+    assert scenario_from_json(scenario_to_json(label)).evidence == bare
+    assert scenario_to_json(ScenarioLabel(label.family, label.case, bare)) == (
+        scenario_to_json(label))
+
+
 def test_classify_position_is_the_batch_of_one():
     label = classify_set(ExplicitSamples(MIXED_MEMBERS))
     for rho, ev in zip(MIXED_MEMBERS, label.evidence):
@@ -435,6 +488,31 @@ def test_scenario_json_matches_json_dumps_byte_for_byte():
         for k in range(2 * _KERNEL_FROM))))
     for label in labels:
         assert scenario_to_json(label) == scenario_to_json_reference(label)
+
+
+def test_classifier_literals_need_no_json_escapes():
+    # scenario_to_json quotes classify_set's literals without a scan: finite
+    # floats of any bits spell only digits and . e + -, in x: and dense:
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 32 * 256, dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300,
+                1.7976931348623157e308, 1e16, 1e-05, 0.1]
+    subnormals = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(bits), bits, 0.0)
+    values[:len(specials) + 2 * len(subnormals)] = np.concatenate(
+        (specials, subnormals, -subnormals))
+    alphabet = set("xdens:,.+-0123456789")
+    for n in (3, 256):
+        stack = values[: 32 * n].view(complex).reshape(n, 4, 4)
+        x_members = np.where(_X_PATTERN, stack, 0.0)
+        dense_members = stack.copy()
+        dense_members[:, 0, 1] = 1.0
+        parts = zip(_literal_fields(x_members), _literal_fields(dense_members))
+        literals = _stack_literals(*map(np.concatenate, parts))
+        assert [lit.split(":")[0] for lit in literals] == ["x"] * n + ["dense"] * n
+        for literal in literals:
+            assert set(literal) <= alphabet, literal
+            assert json.dumps(literal) == '"' + literal + '"'
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import esdkit.classify
+import esdkit.entanglement
 from esdkit import (
     cli, death_time, make_x, parse_channel_literal, parse_state_literal,
     parse_trajectory_csv,
@@ -157,6 +159,35 @@ def test_classify_set_file(tmp_path):
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert (payload["family"], payload["case"]) == ("one", "iii")
+
+
+def test_classify_builds_no_per_member_objects(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-member object was built")
+
+    path = tmp_path / "set.json"
+    states = ["x:0.5,0,0,0.5,0.5,0,0,0", off_pattern_dense_literal()]
+    path.write_text(json.dumps({"states": states}))
+    runs = (["--channel", "collective:1", "--samples", "300"], ["--set-file", str(path)])
+    expected = []
+    for args in runs:
+        assert cli.main(["classify", *args]) == 0
+        expected.append(capsys.readouterr().out)
+    monkeypatch.setattr(esdkit.classify, "Evidence", refuse)
+    for module in (esdkit.classify, esdkit.entanglement):
+        monkeypatch.setattr(module, "RegionLabel", refuse)
+    for args, out in zip(runs, expected):
+        assert cli.main(["classify", *args]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_classify_negative_seed_exits_2(capsys):
+    # refused as a flag value, whether or not the set draws random members
+    for args in (("--channel", "collective:1", "--samples", "5"),
+                 ("--channel", "decay:1,1,0", "--samples", "0")):
+        assert cli.main(["classify", *args, "--seed", "-3"]) == 2, args
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: invalid --seed: must be >= 0, got -3\n")
 
 
 def test_classify_requires_exactly_one_source(tmp_path):
@@ -372,7 +403,7 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     # (in process: a crash would raise out of main)
     wrong_types = tmp_path / "wrong.json"
     for entry in ({"seed": "abc"}, {"horizon": "abc"}, {"jobs": "two"},
-                  {"horizon": [1]}, {"seed": 1.5}, {"seed": True}):
+                  {"horizon": [1]}, {"seed": 1.5}, {"seed": True}, {"seed": -3}):
         wrong_types.write_text(json.dumps({"channel": "collective:1.0", **entry}))
         assert cli.main(["classify", "--samples", "1", "--config", str(wrong_types)]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid --{next(iter(entry))}: ")
