@@ -255,15 +255,18 @@ def liouvillian(channel: ChannelSpec) -> np.ndarray:
 
 def _step_plan(t: float, dt: float) -> tuple[int, float]:
     """Steps from 0 to ``t``: ``n`` steps, the last of length
-    ``min(dt, t - (n - 1) dt)``, with ``n = ceil(t / dt)`` robust to
-    roundoff in ``t / dt``, which must be finite."""
+    ``min(dt, t - (n - 1) dt)`` or ``dt`` where that is not positive, so in
+    (0, dt], with ``n = ceil(t / dt)`` robust to roundoff in ``t / dt``,
+    which must be finite."""
     steps = t / dt
     if not math.isfinite(steps):
         raise OutOfRangeError(f"step dt={dt!r} is too small for t={t!r}: t / dt overflows")
     n_steps = max(1, int(np.ceil(steps * (1.0 - 1e-12))))
     # the fudge drops floor(1e-12 t / dt) whole steps once t / dt >= 1e12
     n_steps += max(0, round((t - n_steps * dt) / dt))
-    return n_steps, min(dt, t - (n_steps - 1) * dt)
+    last = t - (n_steps - 1) * dt
+    # past 2**53 steps this difference is coarser than dt and can round to 0 or below
+    return n_steps, last if 0.0 < last < dt else dt
 
 
 def _rk4_samples(

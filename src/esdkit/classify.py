@@ -322,7 +322,8 @@ def scenario_to_json(label: ScenarioLabel) -> str:
     written as their shortest round-trip floats and must be finite.
 
     A label from :func:`classify_set` is written from its columns, with no
-    per-member object; a hand-built one from its :class:`Evidence`."""
+    per-member object; a hand-built one from its :class:`Evidence`.  No
+    ``rank_margin`` is written: a round trip equals the evidence but for it."""
     evidence = label.evidence
     if isinstance(evidence, _EvidenceView):
         # these literals spell only x d e n s : , . + - and digits, which
@@ -355,7 +356,8 @@ def scenario_to_json(label: ScenarioLabel) -> str:
 
 def scenario_from_json(text: str) -> ScenarioLabel:
     """Read :func:`scenario_to_json` output; a malformed document raises
-    :class:`ParseError`."""
+    :class:`ParseError`.  A round trip equals the evidence except for
+    ``rank_margin``, which the JSON lacks and so reads as ``None``."""
     try:
         # integers read as floats, so a huge one is inf and refused below
         payload = json.loads(text, parse_int=float)

@@ -40,9 +40,9 @@ from .states import (
     DensityMatrix,
     ToleranceConfig,
     XState,
+    _checked_x,
     _literal_stack,
-    _x_suspects,
-    make_x,
+    _raise_x,
     parse_state_literal,
     project_x,
 )
@@ -332,12 +332,12 @@ def cmd_sweep(config: RunConfig) -> int:
     table = np.column_stack([np.broadcast_to(fields[f], axes[0].size) for f in _SWEEP_FIELDS])
     # each (re, im) pair read as one complex keeps both parts' bits, signed zeros too
     cols = (*table[:, :4].T, *table[:, 4:].view(complex).T)
-    for i in _x_suspects(cols, config.tol):
-        try:
-            make_x(*(col[i] for col in cols), tol=config.tol)
-        except ValidationError as exc:
-            point = ", ".join(f"{name}={float(axis[i])!r}" for name, axis in zip(names, axes))
-            raise ParseError(f"invalid sweep grid point {point}: {exc}") from None
+    i, check = _checked_x(cols, config.tol)
+    try:
+        _raise_x(cols, i, check, config.tol)
+    except ValidationError as exc:
+        point = ", ".join(f"{name}={float(axis[i])!r}" for name, axis in zip(names, axes))
+        raise ParseError(f"invalid sweep grid point {point}: {exc}") from None
     verdicts, t_star, crossings = _death_reports(XState(*cols), channel, horizon, config.tol)
     t_cells = ("" if math.isnan(t) else repr(t) for t in t_star.tolist())
     rows = zip(*(map(repr, axis.tolist()) for axis in axes), verdicts.tolist(), t_cells,

@@ -19,8 +19,6 @@ Dense matrices are stored row-major; literals serialize them the same way.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +181,8 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
 
 def _averaged(stack: np.ndarray) -> tuple:
-    """Each member's finite flag, asymmetry ``|m - m^dag|``, average and its trace."""
+    """Each member's finite flag, asymmetry ``|m - m^dag|``, average and its
+    trace, the real diagonal summed left to right as :func:`make_x` sums."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     # non-finite members and finite ones whose differences or trace overflow
     # fail the checks; halving first keeps a Hermitian pair near 1e308 finite
@@ -191,25 +190,26 @@ def _averaged(stack: np.ndarray) -> tuple:
         adjoint = stack.conj().transpose(0, 2, 1)
         asym = np.abs(stack - adjoint).max(axis=(1, 2))
         hermitian = 0.5 * stack + 0.5 * adjoint
-        return finite, asym, hermitian, hermitian.trace(axis1=1, axis2=2).real
+        diag = hermitian.diagonal(axis1=1, axis2=2).real
+        return finite, asym, hermitian, diag[:, 0] + diag[:, 1] + diag[:, 2] + diag[:, 3]
 
 
 def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = False) -> tuple:
     """Check an (n, 4, 4) stack member by member for finite entries (fault
     ``"finite"``), asymmetry ``|m - m^dag|`` within ``eps_psd`` (``"asym"``),
-    then the average ``(m + m^dag) / 2`` for trace within ``eps_trace`` of 1
-    (``"trace"``) and, divided by that trace if ``normalize``, lowest
-    eigenvalue at least ``-eps_psd`` (``"psd"``).  Returns ``(hermitian,
-    lowest, i, kind, value)``: the averages and lowest eigenvalues up to the
-    first failure ``i`` (``len(stack)`` if none), its fault and the
-    asymmetry, trace or eigenvalue it failed on (else ``None``)."""
+    then the average ``(m + m^dag) / 2`` for trace (summed left to right)
+    within ``eps_trace`` of 1 (``"trace"``) and, divided by numpy's trace if
+    ``normalize``, lowest eigenvalue at least ``-eps_psd`` (``"psd"``).
+    Returns ``(hermitian, lowest, i, kind, value)``: the averages and lowest
+    eigenvalues up to the first failure ``i`` (``len(stack)`` if none), its
+    fault and the asymmetry, trace or eigenvalue it failed on (else ``None``)."""
     finite, asym, hermitian, trace = _averaged(stack)
     # a NaN asymmetry or trace compares False, so it fails
     cheap_bad = ~finite | ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
     # only members before the first to fail a cheaper check need eigenvalues
     k = int(cheap_bad.argmax()) if cheap_bad.any() else len(stack)
-    if normalize:
-        hermitian[:k] /= trace[:k, None, None]
+    if normalize:  # numpy's trace sums pairwise; RK4's reference outputs pin its bits
+        hermitian[:k] /= hermitian[:k].trace(axis1=1, axis2=2).real[:, None, None]
     lowest = np.linalg.eigvalsh(hermitian[:k])[:, 0]
     negative = lowest < -tol.eps_psd
     i = int(negative.argmax()) if negative.any() else k
@@ -258,33 +258,60 @@ def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarra
 def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XState:
     """Validate X-state parameters.
 
-    Checks finite values, nonnegative populations, unit trace and the two
-    positivity bounds ``|w|^2 <= a d`` and ``|z|^2 <= b c`` (each within
-    tolerance).
+    Checks finite values, nonnegative populations, unit trace (summed left
+    to right on every Python) and the two positivity bounds ``|w|^2 <= a d``
+    and ``|z|^2 <= b c`` (each within tolerance), as :func:`_checked_x` does.
     """
-    pops = {"a": float(a), "b": float(b), "c": float(c), "d": float(d)}
-    for name, value in pops.items():
-        if not math.isfinite(value):
-            raise OutOfRangeError(f"population {name}={value!r} is not finite")
-        if value < -tol.eps_psd:
-            raise NegativePopulationError(f"population {name}={value!r} below -{tol.eps_psd:.1e}")
-    drift = abs(sum(pops.values()) - 1.0)
-    if drift > tol.eps_trace:
+    values = (float(a), float(b), float(c), float(d), complex(w), complex(z))
+    params = tuple(np.array([value]) for value in values)
+    _raise_x(params, *_checked_x(params, tol), tol)
+    return XState(*values)
+
+
+# make_x's checks, in its order
+_X_CHECKS = (*(f"{p} {kind}" for p in "abcd" for kind in ("finite", "negative")),
+             "trace", "w finite", "z finite", "w bound", "z bound")
+
+
+def _checked_x(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """The first member of X parameter columns ``(a, b, c, d, w, z)`` that
+    :func:`make_x` rejects and the first of ``_X_CHECKS`` it fails, else
+    ``(n, None)``: each population finite and then at least ``-eps_psd``,
+    ``((a + b) + c) + d`` within ``eps_trace`` of 1, ``w`` and ``z`` finite,
+    then ``|w|^2 <= a d + eps_psd`` and ``|z|^2 <= b c + eps_psd`` with each
+    square that of ``hypot(re, im)``, the bits of a scalar ``abs``."""
+    a, b, c, d, w, z = params
+    pops, wz = np.array([a, b, c, d]), np.array([w, z])
+    failed = np.empty((len(_X_CHECKS), len(a)), dtype=bool)  # a row per check
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed[0:8:2], failed[1:8:2] = ~np.isfinite(pops), pops < -tol.eps_psd
+        failed[8] = np.abs(a + b + c + d - 1.0) > tol.eps_trace
+        failed[9:11] = ~np.isfinite(wz)
+        bounds = np.array([a * d, b * c]) + tol.eps_psd
+        failed[11:] = np.square(np.hypot(wz.real, wz.imag)) > bounds
+    if not failed.any():
+        return len(a), None
+    i = int(failed.any(axis=0).argmax())
+    return i, _X_CHECKS[int(failed[:, i].argmax())]
+
+
+def _raise_x(params: tuple[np.ndarray, ...], i: int, check: str | None, tol: ToleranceConfig):
+    """Raise :func:`make_x`'s error for member ``i`` failing ``check``, if any."""
+    if check is None:
+        return
+    # Python floats and complexes, so that no message spells a numpy scalar
+    v = dict(zip("abcdwz", (cast(p[i]) for cast, p in zip([float] * 4 + [complex] * 2, params))))
+    name, _, kind = check.partition(" ")
+    if kind == "finite":
+        what = "coherence" if name in "wz" else "population"
+        raise OutOfRangeError(f"{what} {name}={v[name]!r} is not finite")
+    if kind == "negative":
+        raise NegativePopulationError(f"population {name}={v[name]!r} below -{tol.eps_psd:.1e}")
+    if check == "trace":
+        drift = abs(v["a"] + v["b"] + v["c"] + v["d"] - 1.0)
         raise TraceNotOneError(f"populations sum deviates from 1 by {drift:.3e}")
-    w = complex(w)
-    z = complex(z)
-    for name, value in (("w", w), ("z", z)):
-        if not cmath.isfinite(value):
-            raise OutOfRangeError(f"coherence {name}={value!r} is not finite")
-    if abs(w) ** 2 > pops["a"] * pops["d"] + tol.eps_psd:
-        raise NotPositiveError(
-            f"|w|^2={abs(w) ** 2:.6e} exceeds a*d={pops['a'] * pops['d']:.6e}"
-        )
-    if abs(z) ** 2 > pops["b"] * pops["c"] + tol.eps_psd:
-        raise NotPositiveError(
-            f"|z|^2={abs(z) ** 2:.6e} exceeds b*c={pops['b'] * pops['c']:.6e}"
-        )
-    return XState(pops["a"], pops["b"], pops["c"], pops["d"], w, z)
+    h, (p, q) = abs(v[name]), ("ad" if name == "w" else "bc")
+    raise NotPositiveError(f"|{name}|^2={h * h:.6e} exceeds {p}*{q}={v[p] * v[q]:.6e}")
 
 
 def embed_x(x: XState) -> DensityMatrix:
@@ -311,23 +338,10 @@ def _x_matrices(params: tuple[np.ndarray, ...]) -> np.ndarray:
     return arr
 
 
-def _x_suspects(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Indices, in order, of the X parameter members :func:`make_x` must decide; the rest pass."""
-    a, b, c, d, w, z = params
-    pops = np.stack([a, b, c, d])
-    # members within rounding of a bound go to make_x: numpy may round unlike Python
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (np.isfinite(pops).all(axis=0) & (pops >= -tol.eps_psd).all(axis=0)
-              & (np.abs(a + b + c + d - 1.0) <= tol.eps_trace - 1e-14) & np.isfinite(w)
-              & np.isfinite(z) & (np.abs(w) ** 2 <= (a * d + tol.eps_psd) * (1.0 - 1e-12))
-              & (np.abs(z) ** 2 <= (b * c + tol.eps_psd) * (1.0 - 1e-12)))
-    return np.flatnonzero(~ok)
-
-
 def _x_stack(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """:func:`_x_matrices` of parameter arrays that pass :func:`make_x`."""
-    for i in _x_suspects(params, tol):
-        make_x(*(p[i] for p in params), tol=tol)
+    """:func:`_x_matrices` of parameter arrays that pass :func:`make_x`; the
+    first member it rejects raises its error."""
+    _raise_x(params, *_checked_x(params, tol), tol)
     return _x_matrices(params)
 
 
@@ -498,25 +512,11 @@ def format_dense_entries(matrix: np.ndarray) -> str:
 def parse_dense_entries(text: str) -> np.ndarray:
     """Parse 16 comma-separated ``re:im`` pairs into a row-major 4x4 array.
 
-    A leading ``dense:`` prefix is accepted and stripped.  No physical
-    validation is performed here.
+    A leading ``dense:`` prefix is accepted and stripped.  The numbers are
+    read as a ``dense:`` literal's are; no physical validation is performed.
     """
-    body = text.strip()
-    if body.startswith("dense:"):
-        body = body[len("dense:"):]
-    items = body.split(",")
-    if len(items) != 16:
-        raise ParseError(f"dense literal needs 16 entries, got {len(items)}")
-    values = []
-    for pos, item in enumerate(items):
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ParseError(f"dense entry {pos + 1} ({item!r}) is not of the form re:im")
-        try:
-            values.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ParseError(f"dense entry {pos + 1} ({item!r}) has a non-numeric part") from None
-    return np.array(values, dtype=complex).reshape(4, 4)
+    numbers = _literal_numbers([text.strip()], "dense:", _DENSE_SEPARATORS)
+    return numbers.view(complex).reshape(4, 4)
 
 
 def format_state_literal(state: XState | DensityMatrix) -> str:
@@ -558,17 +558,6 @@ def _stack_literals(is_x: np.ndarray, xs: np.ndarray, dense: np.ndarray) -> list
     return literals.tolist()
 
 
-def _x_fields(body: str) -> list[float]:
-    """The eight numbers of an ``x:`` literal (stripped, prefix included)."""
-    items = body[len("x:"):].split(",")
-    if len(items) != 8:
-        raise ParseError(f"x literal needs 8 fields, got {len(items)}")
-    try:
-        return [float(item) for item in items]
-    except ValueError:
-        raise ParseError(f"x literal has a non-numeric field in {body!r}") from None
-
-
 # the commas and colons of one x: and one dense: literal, in order
 _X_SEPARATORS = "," * 7
 _DENSE_SEPARATORS = ":," * 15 + ":"
@@ -577,21 +566,24 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",:")))
 
 def _literal_numbers(bodies: list[str], prefix: str, separators: str) -> np.ndarray:
     """The numbers of stripped literals in one form, a row each, read with one
-    join, split and ``map(float, ...)``.
+    join, split and ``map(float, ...)``; a leading ``prefix`` is dropped.
 
     Raises :class:`ParseError` unless each literal's commas and colons are
-    ``separators`` in order (then, and only then, its items are the ones
-    :func:`parse_state_literal` reads), and ``float``'s ``ValueError``.
+    ``separators`` in order and each item between them is a ``float`` text.
     """
-    texts = [body[len(prefix):] for body in bodies]
+    texts = [body.removeprefix(prefix) for body in bodies]
     joined = ",".join(texts)
     found = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
     # equal totals do not place the separators, so each literal keeps its commas
     commas = separators.count(",")
     if (found != ",".join([separators] * len(texts)).encode()
             or any(text.count(",") != commas for text in texts)):
-        raise ParseError(f"a {prefix} literal does not have {commas + 1} fields")
-    numbers = list(map(float, joined.replace(":", ",").split(","))) if texts else []
+        fields = "re:im entries" if ":" in separators else "fields"
+        raise ParseError(f"{prefix[:-1]} literal needs {commas + 1} comma-separated {fields}")
+    try:
+        numbers = list(map(float, joined.replace(":", ",").split(","))) if texts else []
+    except ValueError as exc:
+        raise ParseError(f"{prefix[:-1]} literal has a non-numeric field ({exc})") from None
     return np.array(numbers).reshape(len(texts), len(separators) + 1)
 
 
@@ -627,7 +619,7 @@ def parse_state_literal(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> XState
     """Parse a state literal (``x:`` or ``dense:`` form) with validation."""
     body = text.strip()
     if body.startswith("x:"):
-        a, b, c, d, w_re, w_im, z_re, z_im = _x_fields(body)
+        a, b, c, d, w_re, w_im, z_re, z_im = _literal_numbers([body], "x:", _X_SEPARATORS)[0]
         return make_x(a, b, c, d, complex(w_re, w_im), complex(z_re, z_im), tol=tol)
     if body.startswith("dense:"):
         return make_density(parse_dense_entries(body), tol=tol)

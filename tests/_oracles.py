@@ -31,7 +31,13 @@ from esdkit.dynamics import (
     _x_diagnostics,
 )
 from esdkit.entanglement import eigenvalues_hermitian, partial_transpose
-from esdkit.errors import NotXFormError
+from esdkit.errors import (
+    NegativePopulationError,
+    NotPositiveError,
+    NotXFormError,
+    OutOfRangeError,
+    TraceNotOneError,
+)
 from esdkit.states import embed_x, format_state_literal, make_x, project_x
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -238,6 +244,35 @@ def death_time_grid_scalar(x0, channel, horizon, tol):
     else:
         lo, hi = float(times[flips[-1]]), float(times[flips[-1] + 1])
     return report(VERDICT_FINITE, _bisect_threshold(margin, lo, hi, 1e-9 / max_rate(channel)))
+
+
+def x_rule_scalar(a, b, c, d, w, z, tol):
+    """make_x's rule for one member in plain Python floats: ``None`` if it
+    passes, else ``(check, error class, message)`` for the first check it
+    fails, in make_x's order.  The trace is summed left to right and each
+    square is ``h * h`` of ``h = abs(v)``, whatever ``sum`` and ``**`` do on
+    this Python."""
+    pops = dict(zip("abcd", map(float, (a, b, c, d))))
+    w, z = complex(w), complex(z)
+    for name, p in pops.items():
+        if not math.isfinite(p):
+            return f"{name} finite", OutOfRangeError, f"population {name}={p!r} is not finite"
+        if p < -tol.eps_psd:
+            return (f"{name} negative", NegativePopulationError,
+                    f"population {name}={p!r} below -{tol.eps_psd:.1e}")
+    drift = abs(pops["a"] + pops["b"] + pops["c"] + pops["d"] - 1.0)
+    if drift > tol.eps_trace:
+        return "trace", TraceNotOneError, f"populations sum deviates from 1 by {drift:.3e}"
+    for name, v in (("w", w), ("z", z)):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            return f"{name} finite", OutOfRangeError, f"coherence {name}={v!r} is not finite"
+    for name, v, p, q in (("w", w, "a", "d"), ("z", z, "b", "c")):
+        h = abs(v)
+        bound = pops[p] * pops[q]
+        if h * h > bound + tol.eps_psd:
+            return (f"{name} bound", NotPositiveError,
+                    f"|{name}|^2={h * h:.6e} exceeds {p}*{q}={bound:.6e}")
+    return None
 
 
 def family_members_scalar(family, n_samples, seed):

@@ -254,6 +254,14 @@ def test_step_plan_ends_at_t(t):
     assert (n_steps - 1) * 1e-3 + last == t
 
 
+def test_step_plan_last_step_stays_in_range_past_2_to_the_53_steps():
+    # t - (n - 1) dt is coarser than dt there; it rounded to 0 and to -8.9e-16
+    assert _step_plan(5.0, 1e-17) == (499999999999999924, 1e-17)
+    dt = 1e-100 / 1.3
+    n_steps, last = _step_plan(5.0, dt)
+    assert last == dt and abs((n_steps - 1) * dt + last - 5.0) <= 1e-15
+
+
 def test_propagate_numeric_matches_oracle_rk4():
     channel = IndependentDecay(0.8, 1.2, nbar=0.3)
     lmat = lindblad_matrix(decay_jumps(0.8, 1.2, 0.3))

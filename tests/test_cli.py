@@ -14,11 +14,13 @@ import pytest
 import esdkit.classify
 import esdkit.entanglement
 from esdkit import (
-    cli, death_time, make_x, parse_channel_literal, parse_state_literal,
-    parse_trajectory_csv,
+    DEFAULT_TOL, XState, cli, death_time, format_state_literal, make_x, parse_channel_literal,
+    parse_state_literal, parse_trajectory_csv,
 )
+from esdkit.errors import ValidationError
 
 from _cli import cli_env
+from _oracles import x_rule_scalar
 
 PURE_07 = "x:0.7,0,0,0.3,0.45825756949558405,0,0,0"
 
@@ -522,6 +524,63 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     for command in sorted(CONTRACT_RUNS):
         assert cli.main([command, *CONTRACT_RUNS[command], "--out", out]) == 2, command
         assert capsys.readouterr().err.startswith(f"error: cannot write --out {out!r}: ")
+
+
+# --- one X rule on every entry path ------------------------------------------
+
+X_PATH_STATES = {
+    # the trace drifts by 9.99999860695766e-10 summed left to right, and by
+    # 1.000000082740371e-09 under a compensated sum (Python 3.12's ``sum``)
+    "left-to-right-trace": ((0.2995003433643095, 0.2103744450659106, 0.014667877085600078,
+                             0.47545733548417984, 0j, 0j), None),
+    # |w|^2 one rounding above a*d + eps_psd as abs and a square give it,
+    # though numpy's abs(w) ** 2 passes
+    "w-rounding": ((0.4598761641418843, 0.1718529728040154, 0.1718529728040154,
+                    0.19641789025008494, 0.2952593976715402 + 0.0561230346977956j, 0j),
+                   "|w|^2=9.032791e-02 exceeds a*d=9.032791e-02"),
+}
+
+
+@pytest.mark.parametrize("name", list(X_PATH_STATES))
+def test_x_rule_is_the_same_on_every_entry_path(name, tmp_path, capsys):
+    member, message = X_PATH_STATES[name]
+    rule = x_rule_scalar(*member, DEFAULT_TOL)
+    assert (rule and rule[2]) == message
+    literal = format_state_literal(XState(*member))
+    # the sweep's base is valid with w_re = 0; its one grid point puts w_re back
+    w_re = member[4].real
+    base = literal.split(",")
+    base[4] = "0.0"
+    path = str(tmp_path / "set.json")
+    Path(path).write_text(json.dumps({"states": [literal]}))
+    runs = {
+        "set-file": ["classify", "--set-file", path],
+        "sweep": ["sweep", "--channel", "decay:1,1,0", "--horizon", "1",
+                  "--state", ",".join(base), f"--grid=w_re={w_re!r}:{w_re!r}:1"],
+    }
+    if message is None:
+        assert make_x(*member) == parse_state_literal(literal) == XState(*member)
+        for argv in runs.values():
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().err == ""
+        return
+    for call in (lambda: make_x(*member), lambda: parse_state_literal(literal)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+    wants = {"set-file": f"error: --set-file {path!r} state 1: {message}\n",
+             "sweep": f"error: invalid sweep grid point w_re={w_re!r}: {message}\n"}
+    for key, argv in runs.items():
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == wants[key]
+
+
+def test_huge_coherence_exits_2(capsys):
+    message = "|w|^2=inf exceeds a*d=2.500000e-01"
+    base = ["--channel", "decay:1,1,0", "--horizon", "1", "--state"]
+    assert cli.main(["evolve", *base, "x:0.5,0,0,0.5,1e200,0,0,0"]) == 2
+    assert capsys.readouterr().err == f"error: invalid --state: {message}\n"
+    assert cli.main(["sweep", *base, "x:0.5,0,0,0.5,0,0,0,0", "--grid=w_re=1e200:1e200:1"]) == 2
+    assert capsys.readouterr().err == f"error: invalid sweep grid point w_re=1e+200: {message}\n"
 
 
 # --- set-file errors name the first bad member -------------------------------

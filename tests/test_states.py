@@ -1,8 +1,11 @@
 """Construction, validation and serialization of two-qubit states."""
 
+import re
+
 import numpy as np
 import pytest
 
+from _oracles import x_rule_scalar
 from esdkit import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -38,7 +41,7 @@ from esdkit.errors import (
     ValidationError,
 )
 from esdkit import states
-from esdkit.states import _literal_stack, _x_stack
+from esdkit.states import _checked_x, _literal_stack, _x_stack
 
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -143,6 +146,97 @@ def test_x_stack_raises_make_x_error_for_first_failing_member(bad, error):
     with pytest.raises(error) as got:
         _x_stack(_x_params([good, bad, good, later]))
     assert str(got.value) == str(want.value)
+
+
+def _x_members(rng, n):
+    """``n`` random X members as (a, b, c, d, w, z) columns; about one in 24
+    has its trace drift near ``eps_trace``, one a population near
+    ``-eps_psd``, one a non-finite field, and a coherence may pass its bound."""
+    eps = DEFAULT_TOL.eps_psd
+    pops = rng.dirichlet(np.ones(4), n)
+    mode = rng.integers(0, 24, n)
+    pops[mode == 1] *= 1.0 + rng.uniform(-2.0 * eps, 2.0 * eps, ((mode == 1).sum(), 1))
+    # one population near -eps_psd, its mass moved to the next one
+    rows = np.flatnonzero(mode == 2)
+    cols = rng.integers(0, 4, rows.size)
+    low = -eps * rng.uniform(0.5, 1.5, rows.size)
+    pops[rows, (cols + 1) % 4] += pops[rows, cols] - low
+    pops[rows, cols] = low
+    a, b, c, d = pops.T
+    radii = rng.uniform(0.0, 1.01, (2, n)) * np.sqrt(np.abs([a * d, b * c]) + eps)
+    w, z = radii * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    fields = np.column_stack([a, b, c, d, w.real, w.imag, z.real, z.imag])
+    bad = np.flatnonzero(mode == 3)
+    fields[bad, rng.integers(0, 8, bad.size)] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+    # each (re, im) pair read as one complex, so an inf part stays alone
+    return (*fields[:, :4].T, *np.ascontiguousarray(fields[:, 4:]).view(complex).T)
+
+
+def _ulps(values, steps):
+    """``values`` moved by ``steps`` ulps (towards +inf if positive)."""
+    for _ in range(abs(steps)):
+        values = np.nextafter(values, np.inf if steps > 0 else -np.inf)
+    return values
+
+
+def _x_near_bounds(rng, n):
+    """Members within four ulps of each bound: the trace at ``1 +- eps_trace``
+    (through ``d``), ``a`` at ``-eps_psd``, and ``|w|``, ``|z|`` at the root
+    of their bound, along an axis or at a random phase."""
+    eps = DEFAULT_TOL.eps_psd
+    members = []
+    for steps in range(-4, 5):
+        a, b, c, d = rng.dirichlet(np.ones(4), n).T
+        zero = np.zeros(n, dtype=complex)
+        sign = rng.choice([-1.0, 1.0], n)
+        members.append((a, b, c, _ulps((1.0 + sign * eps) - (a + b + c), steps), zero, zero))
+        low = _ulps(np.full(n, -eps), steps)
+        members.append((low, b, c, 1.0 - low - b - c, zero, zero))
+        phase = np.exp(1j * rng.choice([0.0, 0.5 * np.pi, rng.uniform(0, 2 * np.pi)], n))
+        members.append((a, b, c, d, _ulps(np.sqrt(a * d + eps), steps) * phase, zero))
+        members.append((a, b, c, d, zero, _ulps(np.sqrt(b * c + eps), steps) * phase))
+    return tuple(map(np.concatenate, zip(*members)))
+
+
+def test_x_stack_follows_the_scalar_rule_member_by_member():
+    rng = np.random.default_rng(18)
+    params = tuple(map(np.concatenate, zip(_x_members(rng, 100_000), _x_near_bounds(rng, 150))))
+    rules = [x_rule_scalar(*member, DEFAULT_TOL) for member in zip(*params)]
+    failing = [i for i, rule in enumerate(rules) if rule is not None]
+    # each check both passes and fails somewhere, near its bound too
+    assert {rule[0] for rule in rules if rule} == set(states._X_CHECKS)
+    assert 5_000 < len(failing) < 0.5 * len(rules)
+    start = 0
+    for i in [*failing, len(rules)]:
+        # members start..i-1 pass; member i, the first to fail from start, fails its check
+        _x_stack(tuple(p[start:i] for p in params))
+        if i == len(rules):
+            break
+        check, error, message = rules[i]
+        head = tuple(p[start:i + 1] for p in params)
+        assert _checked_x(head) == (i - start, check)
+        with pytest.raises(error) as got:
+            _x_stack(head)
+        assert str(got.value) == message
+        start = i + 1
+
+
+@pytest.mark.parametrize("member", [
+    (-0.1, 0.4, 0.4, 0.3, 0.0, 0.0), (0.3, 0.3, 0.3, 0.3, 0.0, 0.0),
+    (0.5, 0.0, 0.0, 0.5, 0.51, 0.0), (0.25, 0.25, 0.25, 0.25, 0.0, 0.26j),
+    (np.nan, 0.0, 0.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.5, 0.0, complex(np.inf, 0.0)),
+    # |w|^2 is inf, where abs(w) ** 2 raised OverflowError
+    (0.5, 0.0, 0.0, 0.5, 1e200, 0.0),
+])
+def test_x_messages_spell_python_numbers(member):
+    params = tuple(np.array([value]) for value in member)
+    messages = []
+    for call in (lambda: _x_stack(params), lambda: make_x(*(p[0] for p in params))):
+        with pytest.raises(ValidationError) as got:
+            call()
+        messages.append(str(got.value))
+    assert messages[0] == messages[1] == x_rule_scalar(*member, DEFAULT_TOL)[2]
+    assert "np." not in messages[0]
 
 
 def test_literal_stack_matches_member_by_member_parse(monkeypatch):
@@ -336,6 +430,24 @@ def test_parse_state_literal_errors():
     # well-formed literal with an invalid state surfaces validation errors
     with pytest.raises(NotPositiveError):
         parse_state_literal("x:0.5,0.0,0.0,0.5,0.9,0.0,0.0,0.0")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x:1,2,3", "x literal needs 8 comma-separated fields"),
+    ("x:0.5:0,0,0.5,0,0,0,0,0", "x literal needs 8 comma-separated fields"),
+    ("x:0.5,zero,0,0.5,0,0,0,0",
+     "x literal has a non-numeric field (could not convert string to float: 'zero')"),
+    ("dense:0.25:0,0:0,0:0", "dense literal needs 16 comma-separated re:im entries"),
+    ("dense:" + ",".join(["0.25"] * 16), "dense literal needs 16 comma-separated re:im entries"),
+    ("dense:" + ",".join(["nope:0"] * 16),
+     "dense literal has a non-numeric field (could not convert string to float: 'nope')"),
+], ids=["x-arity", "x-colon", "x-non-numeric", "dense-arity", "dense-no-colon",
+        "dense-non-numeric"])
+def test_malformed_literal_messages(text, message):
+    calls = [parse_state_literal] + [parse_dense_entries] * text.startswith("dense:")
+    for call in calls:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            call(text)
 
 
 def test_literal_floats_survive_repr_round_trip():
