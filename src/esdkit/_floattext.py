@@ -5,11 +5,15 @@ doubles", 2020) on ``uint64`` arrays, each 128-bit product split into 32-bit
 limbs: the shortest decimal that reads back as the float, the closer of two,
 ties to even, as CPython's ``dtoa.c``.  Unlike Java's ``Double.toString``,
 subnormals keep one digit and the shorter candidate is tried at every length.
-Each float is spelled into a column of fixed slots: a sign, the ``0.000`` of
-small positional numbers, 17 digit slots each followed by a dot slot and
-``e±ddd``; transposed, with its table column's separator, that is its cell.
-Unused slots hold NUL, which ``translate`` drops.  Zero is laid out as 1.0
-with a ``0`` digit; infinities and NaN use ``repr``.
+Each float's cell is row-major little-endian ``uint64`` words, with no
+transpose: word 0 holds the sign, the ``0.000`` of small positional numbers
+(by decimal exponent), the first digit and its dot byte; words 1-4 each hold
+a group of four more digits at the even bytes, each followed by a dot byte,
+the group's characters masked by a table row chosen by digit count and dot
+position; word 5 holds ``e±ddd`` (by decimal exponent), and the table
+column's separator starts at byte 45, in a seventh word if it is longer than
+three bytes.  NUL bytes, which ``translate`` drops, fill the rest.  Zero is
+laid out as 1.0 with a ``0`` digit; infinities and NaN use ``repr``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
 _M63 = _U64(0x7FFFFFFFFFFFFFFF)
 _INF = _U64(0x7FF0000000000000)
-# floats per pass: larger chunks spill the uint64 temporaries out of cache
+# floats per pass: 4,096 made whole xstate_scan and dense_numeric passes slower
 _CHUNK = 2048
-# repr is faster below: within whole classify ops the two tie at 1,400-1,600 floats
-_KERNEL_FROM = 1536
+# repr is faster below: within whole classify ops the two tie at 800-1,000 floats
+_KERNEL_FROM = 1024
 
 
 def _g_limbs() -> np.ndarray:
@@ -78,75 +82,92 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _exponent_forms() -> tuple[np.ndarray, np.ndarray]:
-    """Per decimal exponent E = -324 .. 308: the five ``0.000`` prefix slots
-    and five ``e±ddd`` suffix slots, one row per slot, and the digit slots
-    positional notation keeps (E + 2, through the ``.0``, or 0)."""
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """Per decimal exponent E = -324 .. 308: word 0's ``0.000`` prefix and
+    word 5's ``e±ddd`` suffix; per E and significant-digit count 0 .. 17
+    (0 stands for a lone first digit) the layout ``max(count, kept) * 18 +
+    dot + 1``, where positional notation keeps E + 2 digits (through the
+    ``.0``) and ``dot`` is the digit the dot follows, or -1; per layout, a
+    column each, word 0's dot and the masks of words 1-4, which keep their
+    digits and their dot."""
     e = np.arange(-324, 309)
     positional = (e >= -4) & (e < 16)
-    prefix = np.frombuffer(b"0.000", np.uint8)[:, None] * (_SLOTS[:5, None] < 1 - e)
+    prefix = np.zeros((len(e), 8), np.uint8)
+    prefix[:, 1:6] = np.frombuffer(b"0.000", np.uint8) * (np.arange(5) < 1 - e[:, None])
+    prefix *= (positional & (e < 0))[:, None]
     a = np.abs(e)
-    suffix = np.stack((
+    suffix = np.zeros((len(e), 8), np.uint8)
+    suffix[:, :5] = np.column_stack((
         np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
         np.where(a >= 100, 48 + a // 100, 0), 48 + a // 10 % 10, 48 + a % 10,
-    ))
-    affix = np.concatenate((prefix * (positional & (e < 0)), suffix * ~positional))
-    return affix.astype(np.uint8), np.where(positional & (e >= 0), e + 2, 0)
+    )) * ~positional[:, None]
+    kept = np.where(positional & (e >= 0), e + 2, 0)[:, None]
+    count = np.maximum(np.arange(18), 1)
+    dot = np.where(kept > 0, kept - 2, np.where(~positional[:, None] & (count > 1), 0, -1))
+    layout = (np.maximum(count, kept) * 18 + dot + 1).astype(np.uint16)
+    # the digits kept, and those before the dot (none: no dot)
+    length, before = np.divmod(np.arange(18 * 18)[:, None], 18)
+    slot = np.arange(40)  # byte 6 + 2i is digit i, byte 7 + 2i its dot
+    masks = np.where(slot % 2, ord(".") * (slot == 5 + 2 * before) * (before > 0),
+                     255 * ((slot >= 8) & (slot < 6 + 2 * length)))
+    return (prefix.view(_LE).ravel(), suffix.view(_LE).ravel(), layout.ravel(),
+            masks.astype(np.uint8).view(_LE).T.copy())
 
 
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per group of four digits q = 0 .. 9999: their characters at bytes 0, 2,
+    4 and 6 of a word, with 0xFF at the odd bytes for a mask's dot, and, in
+    the row of each of words 1-4, the significant-digit count of a float
+    whose last nonzero group is q (0 for q = 0)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # a row per digit
+    spaced = np.full((10000, 8), 255, np.uint8)
+    spaced[:, ::2] = 48 + digits.T
+    last = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    counts = (last + np.arange(1, 17, 4, dtype=np.uint8)[:, None]) * (last > 0)
+    return spaced.view(_LE).ravel(), counts.ravel()
+
+
+_LE = np.dtype("<u8")
 _G = _g_limbs()
 _POW10 = 10 ** np.arange(18, dtype=_U64)
-_SLOTS = np.arange(17)
-_RANKS = np.arange(1, 18, dtype=np.uint8)[:, None]
-_AFFIX, _KEPT = _exponent_forms()
-# the four digit characters of 0 .. 9999, as one uint32 each
-_QUADS = (48 + np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
-_QUADS = _QUADS.view(np.uint32).ravel()
-
-
-def _fill(slots: np.ndarray, bits: np.ndarray) -> None:
-    """Write the text of positive finite floats, given by their bits, into rows
-    1-44 of ``slots``, a column each."""
-    f, k = _shortest(bits)
-    n = np.searchsorted(_POW10, f, side="right")
-    f = f * _POW10[17 - n]  # 17 digits, the first nonzero
-    halves = f % _U64(10**16) // np.array([[10**8], [1]], _U64) % _U64(10**8)
-    tops = halves // _U64(10**4)
-    quads = np.stack((tops, halves - tops * _U64(10**4)), axis=1).reshape(4, -1)
-    digits = slots[6:40:2]
-    digits[0] = f // _U64(10**16) + 48
-    digits[1:].reshape(4, 4, -1)[...] = _QUADS.take(quads.astype(np.intp)).view(
-        np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
-    count = ((digits != 48) * _RANKS).max(axis=0)
-    e = k + n - 1 + 324
-    kept = _KEPT[e]
-    # a dot after the units digit; in exponent form after the first digit,
-    # unless it is the only one; none after a 0.000 prefix
-    dot = np.where(kept > 0, kept - 2, np.where((_AFFIX[5, e] > 0) & (count > 1), 0, -1))
-    digits *= _SLOTS[:, None] < np.maximum(count, kept)
-    np.multiply(_SLOTS[:, None] == dot, np.uint8(ord(".")), out=slots[7:41:2])
-    affix = _AFFIX.take(e, axis=1)
-    slots[1:6] = affix[:5]
-    slots[40:45] = affix[5:]
+_PREFIX, _SUFFIX, _LAYOUT, _MASKS = _layout_tables()
+_QUAD8, _COUNT = _quad_tables()
+# where each of words 1-4 reads its counts in _COUNT
+_GROUP = np.arange(0, 40000, 10000)[:, None]
 
 
 def _spell(values: np.ndarray, cells: np.ndarray) -> None:
-    """Write the text of each float into slots 0-44 of its row of ``cells``,
-    ``_CHUNK`` floats at a time."""
+    """Write the text of each float into words 0-4 of its row of ``cells``,
+    and OR its exponent suffix into word 5, ``_CHUNK`` floats at a time."""
     bits = np.abs(values).view(_U64)
     stand_in = np.where((bits == 0) | (bits >= _INF), _U64(0x3FF0000000000000), bits)  # 1.0
-    slots = np.empty((45, min(_CHUNK, len(values))), np.uint8)
+    # the first digit's offset, 0 for zero, which turns 1.0 into 0.0, and the sign byte
+    sign = (np.signbit(values) & ~np.isnan(values)) * _U64(ord("-"))
+    offset = (_U64(48) - (bits == 0) << _U64(48)) | sign
     for lo in range(0, len(values), _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
-        part = slots[:, : len(values[chunk])]
-        part[0] = ord("-") * (np.signbit(values[chunk]) & ~np.isnan(values[chunk]))
-        _fill(part, stand_in[chunk])
-        part[6] -= bits[chunk] == 0  # 1.0 becomes 0.0
-        for i in np.flatnonzero(bits[chunk] >= _INF):
-            spelled = np.frombuffer(repr(abs(float(values[lo + i]))).encode(), np.uint8)
-            part[1:, i] = 0
-            part[6 : 6 + 2 * len(spelled) : 2, i] = spelled
-        cells[chunk, :45] = part.T
+        f, k = _shortest(stand_in[chunk])
+        n = np.searchsorted(_POW10, f, side="right")
+        f = f * _POW10[17 - n]  # 17 digits, the first nonzero
+        e = k + n + 323
+        top = f // _U64(10**16)
+        rest = (f - top * _U64(10**16)).view(np.int64)
+        # the four groups of four digits after the first, a row each
+        high = rest // 10**8
+        halves = np.stack((high, rest - high * 10**8))
+        tops = halves // 10**4
+        quads = np.stack((tops, halves - tops * 10**4), axis=1).reshape(4, -1)
+        layout = _LAYOUT.take(e * 18 + _COUNT.take(quads + _GROUP).max(axis=0))
+        masks = _MASKS.take(layout, axis=1)
+        np.bitwise_and(_QUAD8.take(quads), masks[1:], out=cells[chunk, 1:5].T)
+        cells[chunk, 0] = _PREFIX.take(e) | masks[0] | (top << _U64(48)) + offset[chunk]
+        cells[chunk, 5] |= _SUFFIX.take(e)
+    for i in np.flatnonzero(bits >= _INF):
+        text = np.zeros(40, np.uint8)
+        text[0] = cells[i, 0] & _U64(0xFF)  # the sign
+        spelled = np.frombuffer(repr(abs(float(values[i]))).encode(), np.uint8)
+        text[6 : 6 + 2 * len(spelled) : 2] = spelled
+        cells[i, :5] = text.view(_LE)
 
 
 def format_rows(table: np.ndarray, separators: list[str]) -> str:
@@ -164,9 +185,10 @@ def _kernel_rows(table: np.ndarray, separators: list[str]) -> str:
     """:func:`format_rows` by the kernel, at any size.  A column's trailing run
     of floats bitwise equal to its last (a dead negativity, a frozen
     population) is spelled once and its cell copied down the run."""
-    width = max(map(len, separators))
-    seps = np.stack([np.frombuffer(s.encode().ljust(width, b"\0"), np.uint8)
-                     for s in separators])
+    # a cell is 45 bytes of float and its separator, in whole words
+    words = (45 + max(map(len, separators)) + 7) // 8
+    seps = np.frombuffer(b"".join(bytes(5) + s.encode().ljust(8 * words - 45, b"\0")
+                                  for s in separators), _LE).reshape(-1, words - 5)
     columns = len(separators)
     bits = table.view(_U64)
     # the first row of each column's run, compared by bits: 0.0 and -0.0
@@ -181,9 +203,9 @@ def _kernel_rows(table: np.ndarray, separators: list[str]) -> str:
         # run began in an earlier block
         counts = np.clip(first + 1 - lo, 1, len(block))
         heads = np.concatenate([block[:n, j] for j, n in enumerate(counts.tolist())])
-        cells = np.empty((len(heads), 45 + width), np.uint8)
+        cells = np.empty((len(heads), words), _LE)
+        cells[:, 5:] = np.repeat(seps, counts, axis=0)
         _spell(heads, cells)
-        cells[:, 45:] = np.repeat(seps, counts, axis=0)
         # row i of column j is its head min(i, counts[j] - 1)
         index = np.minimum(np.arange(len(block))[:, None], counts - 1) + np.cumsum(counts) - counts
         text += [cells.take(index[i : i + step], axis=0).tobytes().translate(None, b"\0")

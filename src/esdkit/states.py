@@ -261,6 +261,8 @@ def make_x(a, b, c, d, w=0.0, z=0.0, tol: ToleranceConfig = DEFAULT_TOL) -> XSta
     Checks finite values, nonnegative populations, unit trace (summed left
     to right on every Python) and the two positivity bounds ``|w|^2 <= a d``
     and ``|z|^2 <= b c`` (each within tolerance), as :func:`_checked_x` does.
+    The tolerances match the dense check's: each 2x2 block's lowest
+    eigenvalue is at least ``-eps_psd``.
     """
     values = (float(a), float(b), float(c), float(d), complex(w), complex(z))
     params = tuple(np.array([value]) for value in values)
@@ -278,8 +280,10 @@ def _checked_x(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TO
     :func:`make_x` rejects and the first of ``_X_CHECKS`` it fails, else
     ``(n, None)``: each population finite and then at least ``-eps_psd``,
     ``((a + b) + c) + d`` within ``eps_trace`` of 1, ``w`` and ``z`` finite,
-    then ``|w|^2 <= a d + eps_psd`` and ``|z|^2 <= b c + eps_psd`` with each
-    square that of ``hypot(re, im)``, the bits of a scalar ``abs``."""
+    then ``|w|^2 <= (a + eps_psd)(d + eps_psd)`` and ``|z|^2 <= (b + eps_psd)(c +
+    eps_psd)``, the exact form of the lowest eigenvalue of each 2x2 block at
+    least ``-eps_psd``, with each square that of ``hypot(re, im)``, the bits
+    of a scalar ``abs``."""
     a, b, c, d, w, z = params
     pops, wz = np.array([a, b, c, d]), np.array([w, z])
     failed = np.empty((len(_X_CHECKS), len(a)), dtype=bool)  # a row per check
@@ -287,7 +291,7 @@ def _checked_x(params: tuple[np.ndarray, ...], tol: ToleranceConfig = DEFAULT_TO
         failed[0:8:2], failed[1:8:2] = ~np.isfinite(pops), pops < -tol.eps_psd
         failed[8] = np.abs(a + b + c + d - 1.0) > tol.eps_trace
         failed[9:11] = ~np.isfinite(wz)
-        bounds = np.array([a * d, b * c]) + tol.eps_psd
+        bounds = (np.array([a, b]) + tol.eps_psd) * (np.array([d, c]) + tol.eps_psd)
         failed[11:] = np.square(np.hypot(wz.real, wz.imag)) > bounds
     if not failed.any():
         return len(a), None
@@ -310,8 +314,9 @@ def _raise_x(params: tuple[np.ndarray, ...], i: int, check: str | None, tol: Tol
     if check == "trace":
         drift = abs(v["a"] + v["b"] + v["c"] + v["d"] - 1.0)
         raise TraceNotOneError(f"populations sum deviates from 1 by {drift:.3e}")
-    h, (p, q) = abs(v[name]), ("ad" if name == "w" else "bc")
-    raise NotPositiveError(f"|{name}|^2={h * h:.6e} exceeds {p}*{q}={v[p] * v[q]:.6e}")
+    h, (p, q), eps = abs(v[name]), ("ad" if name == "w" else "bc"), tol.eps_psd
+    raise NotPositiveError(f"|{name}|^2={h * h:.6e} exceeds ({p}+{eps:.1e})*({q}+{eps:.1e})="
+                           f"{(v[p] + eps) * (v[q] + eps):.6e}")
 
 
 def embed_x(x: XState) -> DensityMatrix:

@@ -267,11 +267,12 @@ def x_rule_scalar(a, b, c, d, w, z, tol):
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             return f"{name} finite", OutOfRangeError, f"coherence {name}={v!r} is not finite"
     for name, v, p, q in (("w", w, "a", "d"), ("z", z, "b", "c")):
-        h = abs(v)
-        bound = pops[p] * pops[q]
-        if h * h > bound + tol.eps_psd:
+        h, eps = abs(v), tol.eps_psd
+        # a 2x2 block's lowest eigenvalue is at least -eps_psd exactly when this holds
+        bound = (pops[p] + eps) * (pops[q] + eps)
+        if h * h > bound:
             return (f"{name} bound", NotPositiveError,
-                    f"|{name}|^2={h * h:.6e} exceeds {p}*{q}={bound:.6e}")
+                    f"|{name}|^2={h * h:.6e} exceeds ({p}+{eps:.1e})*({q}+{eps:.1e})={bound:.6e}")
     return None
 
 

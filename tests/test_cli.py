@@ -286,7 +286,7 @@ def test_sweep_grid_errors_exit_2(capsys):
         # the first failing point in itertools.product order
         (base + ("--grid", "w=0:0.5:5", "--grid", "z=0:0.2:3"),
          "invalid sweep grid point w_re=0.0, z_re=0.2: |z|^2=4.000000e-02 exceeds "
-         "b*c=1.000000e-02"),
+         "(b+1.0e-09)*(c+1.0e-09)=1.000000e-02"),
         (pure + ("--grid", "a=0:1:3"), "pure family requires 0 < a < 1, got 0.0"),
         (pure + ("--grid", "a=0.2:1.2:6"), "pure family requires 0 < a < 1, got 1.0"),
         (pure + ("--grid", "a=0.2:0.8:3", "--grid", "w=0:0.1:2"),
@@ -533,11 +533,11 @@ X_PATH_STATES = {
     # 1.000000082740371e-09 under a compensated sum (Python 3.12's ``sum``)
     "left-to-right-trace": ((0.2995003433643095, 0.2103744450659106, 0.014667877085600078,
                              0.47545733548417984, 0j, 0j), None),
-    # |w|^2 one rounding above a*d + eps_psd as abs and a square give it,
-    # though numpy's abs(w) ** 2 passes
+    # |w|^2 above (a + eps_psd)(d + eps_psd) as abs and a square give it,
+    # though numpy's abs(w), one ulp lower, passes squared
     "w-rounding": ((0.4598761641418843, 0.1718529728040154, 0.1718529728040154,
-                    0.19641789025008494, 0.2952593976715402 + 0.0561230346977956j, 0j),
-                   "|w|^2=9.032791e-02 exceeds a*d=9.032791e-02"),
+                    0.19641789025008494, 0.2565094451106953 - 0.15662315014820752j, 0j),
+                   "|w|^2=9.032791e-02 exceeds (a+1.0e-09)*(d+1.0e-09)=9.032791e-02"),
 }
 
 
@@ -575,12 +575,30 @@ def test_x_rule_is_the_same_on_every_entry_path(name, tmp_path, capsys):
 
 
 def test_huge_coherence_exits_2(capsys):
-    message = "|w|^2=inf exceeds a*d=2.500000e-01"
+    message = "|w|^2=inf exceeds (a+1.0e-09)*(d+1.0e-09)=2.500000e-01"
     base = ["--channel", "decay:1,1,0", "--horizon", "1", "--state"]
     assert cli.main(["evolve", *base, "x:0.5,0,0,0.5,1e200,0,0,0"]) == 2
     assert capsys.readouterr().err == f"error: invalid --state: {message}\n"
     assert cli.main(["sweep", *base, "x:0.5,0,0,0.5,0,0,0,0", "--grid=w_re=1e200:1e200:1"]) == 2
     assert capsys.readouterr().err == f"error: invalid sweep grid point w_re=1e+200: {message}\n"
+
+
+@pytest.mark.parametrize("w, code", [
+    # |w|^2 = a*d + 9e-10: the w block's lowest eigenvalue is -4.5e-09
+    ("0.1000000044999999", 2),
+    # |w|^2 = a*d + 1.5e-10: the lowest eigenvalue is -7.5e-10
+    ("0.10000000075", 0),
+])
+def test_x_band_is_the_dense_eigenvalue_check(w, code, tmp_path, capsys):
+    matrix = np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex)
+    matrix[0, 3] = matrix[3, 0] = float(w)
+    path = tmp_path / "set.json"
+    for literal in (f"x:0.1,0.4,0.4,0.1,{w},0,0,0", dense_literal(matrix)):
+        path.write_text(json.dumps({"states": [literal]}))
+        for argv in (["evolve", "--channel", "decay:1,1,0", "--horizon", "1", "--state", literal],
+                     ["classify", "--set-file", str(path)]):
+            assert cli.main(argv) == code, (literal, argv[0])
+            capsys.readouterr()
 
 
 # --- set-file errors name the first bad member -------------------------------

@@ -3,6 +3,8 @@
 Most tables here are below the size from which ``format_rows`` uses the
 Schubfach kernel, so they call the kernel, ``_kernel_rows``, directly."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,39 @@ def test_separators_follow_their_columns_row_major():
     table = np.array([[0.5, -1e-5, 3.0], [1e16, 0.0, -np.inf]] * 700)
     expected = "0.5,-1e-05,,,,,3.0\n1e+16,0.0,,,,,-inf\n" * 700
     assert_rows(_kernel_rows(table, [",", ",,,,,", "\n"]), expected)
+
+
+def test_every_exponent_and_digit_count():
+    # every decimal exponent, each with every significant-digit count its
+    # precision allows, in both signs, so that every prefix, suffix and
+    # layout row of the tables is read
+    rng = np.random.default_rng(19)
+    exponents = np.repeat(np.arange(-324, 309), 4)
+    texts = []
+    for count in range(1, 18):
+        digits = rng.integers(0, 10, (len(exponents), count)).astype(str)
+        digits[:, 0] = rng.integers(1, 10, len(exponents)).astype(str)
+        digits[:, -1] = rng.integers(1, 10, len(exponents)).astype(str)
+        digits[exponents == 308, 0] = "1"  # 1.8e308 overflows
+        texts += [f"{d[0]}.{''.join(d[1:])}e{e}"
+                  for d, e in zip(digits.tolist(), exponents.tolist())]
+    values = np.array([float(text) for text in texts])
+    # and their neighbours, where most 17-digit reprs are
+    values = np.concatenate([values] + [np.nextafter(values, s * np.inf) for s in (-1, 1)])
+    decimals = [Decimal(repr(v)).normalize() for v in values[np.isfinite(values)].tolist()]
+    spelled = {(d.adjusted(), len(d.as_tuple().digits)) for d in decimals}
+    assert {e for e, _ in spelled} == set(range(-324, 309))
+    assert all((e, n) in spelled for e in range(-307, 309) for n in range(1, 18))
+    assert_repr(np.concatenate((values, -values)))
+
+
+@pytest.mark.parametrize("separators", [
+    [","] * 3 + ["\n"], [",,,", ":", ",,,", "\n"], [",,,,,", ",", "\ndense:", "\n"],
+])
+def test_separators_of_six_and_seven_word_cells(separators):
+    # 1 and 3 bytes share word 5 with the suffix; 5 and 7 bytes need a 7th word
+    rng = np.random.default_rng(len("".join(separators)))
+    assert_table(rng.integers(0, 2**64, (600, 4), dtype=np.uint64).view(np.float64), separators)
 
 
 # --- trailing runs: each column's cells bitwise equal to its last are spelled once

@@ -134,9 +134,9 @@ def test_x_stack_matches_embed_x_bit_for_bit():
     ((0.25, 0.25, 0.25, 0.25, 0.0, 0.26), NotPositiveError),
     ((float("nan"), 0.0, 0.0, 1.0, 0.0, 0.0), OutOfRangeError),
     ((0.5, 0.0, 0.0, 0.5, complex(0.0, float("inf")), 0.0), OutOfRangeError),
-    # |w|^2 one rounding above a*d + eps_psd by Python's abs and ** 2, not by numpy's
+    # |w|^2 above (a + eps_psd)(d + eps_psd) by Python's abs and a square, not by numpy's
     ((0.4598761641418843, 0.1718529728040154, 0.1718529728040154, 0.19641789025008494,
-      0.2952593976715402 + 0.0561230346977956j, 0.0), NotPositiveError),
+      0.2565094451106953 - 0.15662315014820752j, 0.0), NotPositiveError),
 ])
 def test_x_stack_raises_make_x_error_for_first_failing_member(bad, error):
     good = (0.25, 0.25, 0.25, 0.25, 0.1, 0.0)
@@ -193,8 +193,8 @@ def _x_near_bounds(rng, n):
         low = _ulps(np.full(n, -eps), steps)
         members.append((low, b, c, 1.0 - low - b - c, zero, zero))
         phase = np.exp(1j * rng.choice([0.0, 0.5 * np.pi, rng.uniform(0, 2 * np.pi)], n))
-        members.append((a, b, c, d, _ulps(np.sqrt(a * d + eps), steps) * phase, zero))
-        members.append((a, b, c, d, zero, _ulps(np.sqrt(b * c + eps), steps) * phase))
+        members.append((a, b, c, d, _ulps(np.sqrt((a + eps) * (d + eps)), steps) * phase, zero))
+        members.append((a, b, c, d, zero, _ulps(np.sqrt((b + eps) * (c + eps)), steps) * phase))
     return tuple(map(np.concatenate, zip(*members)))
 
 
