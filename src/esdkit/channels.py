@@ -70,7 +70,9 @@ from .states import (
     _X_PATTERN,
     _checked_stack,
     _frozen,
+    _literal_numbers,
     _unchecked_density,
+    make_x,
     parse_dense_entries,
 )
 
@@ -384,7 +386,8 @@ def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray,
     channels; raises :class:`UnsupportedChannelError` otherwise.
     """
     tau = np.asarray(times, dtype=float)
-    if tau.size and float(tau.min()) < 0.0:
+    # a NaN time compares False, so it fails
+    if tau.size and not float(tau.min()) >= 0.0:
         raise ValidationError("times must be nonnegative")
     ones = np.ones_like(tau)
     if isinstance(channel, IndependentDecay):
@@ -406,17 +409,14 @@ def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray,
         d = (1.0 - stay_b) * m10 + (1.0 - gain_b) * m11
         shrink = np.sqrt(e_a * e_b)
         return a, b, c, d, x.w * shrink, x.z * shrink
-    if isinstance(channel, IndependentDephasing):
-        shrink = np.exp(-(channel.kappa_a + channel.kappa_b) * tau)
+    if isinstance(channel, (IndependentDephasing, CollectiveDephasing)):
+        # populations are invariant, and so is z under collective dephasing
+        collective = isinstance(channel, CollectiveDephasing)
+        rate = 2.0 * channel.kappa_c if collective else channel.kappa_a + channel.kappa_b
+        shrink = np.exp(-rate * tau)
         return (
             x.a * ones, x.b * ones, x.c * ones, x.d * ones,
-            x.w * shrink, x.z * shrink,
-        )
-    if isinstance(channel, CollectiveDephasing):
-        shrink = np.exp(-2.0 * channel.kappa_c * tau)
-        return (
-            x.a * ones, x.b * ones, x.c * ones, x.d * ones,
-            x.w * shrink, x.z * (ones + 0.0j),
+            x.w * shrink, x.z * (ones + 0.0j if collective else shrink),
         )
     raise UnsupportedChannelError(
         f"no closed form for channel type {type(channel).__name__}"
@@ -424,9 +424,11 @@ def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray,
 
 
 def propagate_x_closed(x: XState, channel: ChannelSpec, t: float) -> XState:
-    """Closed-form X-state propagation to a single time ``t``."""
+    """Closed-form X-state propagation to a single time ``t``.  A bare
+    ``XState`` is validated as :func:`~esdkit.states.make_x` would."""
     if t < 0.0:
         raise ValidationError(f"propagation time t={t!r} must be nonnegative")
+    x = make_x(x.a, x.b, x.c, x.d, x.w, x.z)
     a, b, c, d, w, z = x_closed_curves(x, channel, np.array([t]))
     return XState(float(a[0]), float(b[0]), float(c[0]), float(d[0]),
                   complex(w[0]), complex(z[0]))
@@ -472,8 +474,8 @@ AsymptoticSet = Union[SinglePoint, XFamily, ExplicitSamples]
 def thermal_product(nbar: float) -> DensityMatrix:
     """Product of single-qubit thermal states, excited weight
     ``q = nbar / (2 nbar + 1)`` on each qubit."""
-    if nbar < 0.0:
-        raise OutOfRangeError(f"nbar={nbar!r} must be nonnegative")
+    if not (nbar >= 0.0 and math.isfinite(nbar)):
+        raise OutOfRangeError(f"nbar={nbar!r} must be nonnegative and finite")
     q = nbar / (2.0 * nbar + 1.0)
     single = np.diag([q, 1.0 - q]).astype(complex)
     return _unchecked_density(np.kron(single, single))
@@ -542,16 +544,6 @@ def format_channel_literal(channel: ChannelSpec) -> str:
     )
 
 
-def _parse_rates(body: str, count: int, what: str) -> list[float]:
-    items = body.split(",")
-    if len(items) != count:
-        raise ParseError(f"{what} literal needs {count} fields, got {len(items)}")
-    try:
-        return [float(item) for item in items]
-    except ValueError:
-        raise ParseError(f"{what} literal has a non-numeric field in {body!r}") from None
-
-
 def _read_json(path: str, what: str, key: str | None = None) -> dict:
     """The JSON object in file ``path``, which must hold a list under ``key``
     when one is named.  Every failure is a :class:`ParseError` that names
@@ -582,7 +574,12 @@ def _load_custom_channel(path: str) -> CustomChannel:
             raise ParseError(
                 f"jump {idx + 1} in {path!r} needs 'matrix' and 'rate' fields"
             )
-        (rate,) = _parse_rates(str(entry["rate"]), 1, f"jump {idx + 1} in {path!r}: rate")
+        try:
+            rate = float(str(entry["rate"]))
+        except ValueError as exc:
+            raise ParseError(
+                f"jump {idx + 1} in {path!r}: rate literal has a non-numeric field ({exc})"
+            ) from None
         jumps.append((parse_dense_entries(str(entry["matrix"])), rate))
     return CustomChannel(tuple(jumps))
 
@@ -591,18 +588,16 @@ def parse_channel_literal(text: str) -> ChannelSpec:
     """Parse a channel literal.
 
     Forms: ``decay:gamma_a,gamma_b,nbar``, ``dephase:kappa_a,kappa_b``,
-    ``collective:kappa_c``, ``custom:<path to JSON jump list>``.
+    ``collective:kappa_c``, ``custom:<path to JSON jump list>``; the
+    numbers are read as a state literal's are, as Python floats.
     """
     body = text.strip()
     if body.startswith("decay:"):
-        ga, gb, nbar = _parse_rates(body[len("decay:"):], 3, "decay")
-        return IndependentDecay(ga, gb, nbar)
+        return IndependentDecay(*_literal_numbers([body], "decay:", ",,")[0].tolist())
     if body.startswith("dephase:"):
-        ka, kb = _parse_rates(body[len("dephase:"):], 2, "dephase")
-        return IndependentDephasing(ka, kb)
+        return IndependentDephasing(*_literal_numbers([body], "dephase:", ",")[0].tolist())
     if body.startswith("collective:"):
-        (kc,) = _parse_rates(body[len("collective:"):], 1, "collective")
-        return CollectiveDephasing(kc)
+        return CollectiveDephasing(*_literal_numbers([body], "collective:", "")[0].tolist())
     if body.startswith("custom:"):
         return _load_custom_channel(body[len("custom:"):])
     raise ParseError(

@@ -204,7 +204,7 @@ def _load_config_file(path: str) -> dict:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """Config-file entries overlaid with the flags that were set, each
-    converted by :func:`_read`."""
+    converted by :func:`_read`; every failure is a :class:`ParseError`."""
     values = _load_config_file(args.config) if args.config else {}
     values.update((name, value) for name, value in vars(args).items()
                   if name in _FIELDS and value is not None)
@@ -361,12 +361,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        config = _build_config(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](_build_config(args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

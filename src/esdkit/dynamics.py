@@ -59,7 +59,7 @@ from .channels import (
     _rk4_samples,
     _step_plan,
 )
-from .entanglement import _partial_transpose_many
+from .entanglement import _pt_diagnostics
 from .errors import (
     NotXFormError,
     ParseError,
@@ -194,13 +194,6 @@ class DeathReport:
             raise ValidationError(f"eps_death must lie in (0, 1e-2], got {self.eps_death!r}")
 
 
-def _pt_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(negativity, min PT eigenvalue) per stacked matrix."""
-    pt_eigs = np.linalg.eigvalsh(_partial_transpose_many(stack))
-    neg = np.where(pt_eigs < 0.0, -pt_eigs, 0.0).sum(axis=1)
-    return neg, pt_eigs[:, 0]
-
-
 def _x_diagnostics(
     curves: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -224,13 +217,6 @@ def _x_diagnostics(
     inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(z))
     min_eig = np.minimum(outer, inner)
     return neg, min_pt, min_eig, outer_pt, inner_pt
-
-
-def _retained_steps(n_steps: int, sample_every: int) -> list[int]:
-    ks = list(range(0, n_steps + 1, sample_every))
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
-    return ks
 
 
 def _x_form(state0: XState | DensityMatrix, tol: ToleranceConfig) -> XState | None:
@@ -287,17 +273,17 @@ def simulate(
     elif not hasattr(type(sample_every), "__index__") or sample_every < 1:
         # an integer is anything operator.index takes, as for range()
         raise ValidationError(f"sample_every must be an integer >= 1, got {sample_every!r}")
-    ks = _retained_steps(n_steps, sample_every)
+    # Python ints: step counts pass 2**63 at tiny dt
+    ks = list(range(0, n_steps + sample_every, sample_every))
+    ks[-1] = n_steps
     times = np.minimum(np.asarray(ks, dtype=float) * dt, horizon)
 
-    populations: tuple[np.ndarray, ...] | None = None
+    populations: tuple[np.ndarray, ...] = ()  # a..d, of X trajectories only
     if x0 is not None and is_catalog(channel):
         curves = x_closed_curves(x0, channel, times)
         stack = _x_matrices(curves)
         populations = curves[:4]
         neg, min_pt, min_eig = _x_diagnostics(curves)[:3]
-        abs_w = np.abs(curves[4])
-        abs_z = np.abs(curves[5])
     else:
         if x0 is not None and not isinstance(state0, DensityMatrix):
             state0 = embed_x(x0)
@@ -306,14 +292,10 @@ def simulate(
         stack = np.concatenate([state0.matrix[None], later])
         min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
         neg, min_pt = _pt_diagnostics(stack)
-        abs_w = np.abs(stack[:, 0, 3])
-        abs_z = np.abs(stack[:, 1, 2])
 
     stack.setflags(write=False)
-    kwargs = {}
-    if populations is not None:
-        kwargs = dict(zip("abcd", populations))
-    return Trajectory(times, _StateView(stack), neg, min_pt, min_eig, abs_w, abs_z, **kwargs)
+    return Trajectory(times, _StateView(stack), neg, min_pt, min_eig, np.abs(stack[:, 0, 3]),
+                      np.abs(stack[:, 1, 2]), **dict(zip("abcd", populations)))
 
 
 def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool):
@@ -366,6 +348,14 @@ def _require_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _alive(cols: list[np.ndarray], rows: np.ndarray, channel: ChannelSpec,
+           times: np.ndarray, eps_death: float) -> np.ndarray:
+    """Whether each X row ``rows`` of the columns ``cols`` has a closed-form
+    negativity above ``eps_death`` at its entry of ``times``."""
+    part = XState(*(col[rows] for col in cols))
+    return _x_diagnostics(x_closed_curves(part, channel, times))[0] > eps_death
+
+
 def _bisect_deaths(
     cols: list[np.ndarray],
     channel: ChannelSpec,
@@ -382,21 +372,20 @@ def _bisect_deaths(
     """
     lo, hi = lo.copy(), hi.copy()
     open_ = np.arange(lo.size)
-    # rate * time may overflow at late midpoints; exp(-inf) = 0 is right
-    with np.errstate(over="ignore"):
-        while True:
-            lo_open, hi_open = lo[open_], hi[open_]
-            mid = 0.5 * (lo_open + hi_open)
-            keep = (hi_open - lo_open > xtol) & (lo_open < mid) & (mid < hi_open)
-            open_, mid = open_[keep], mid[keep]
-            if not open_.size:
-                return 0.5 * (lo + hi)
-            part = XState(*(col[open_] for col in cols))
-            up = _x_diagnostics(x_closed_curves(part, channel, mid))[0] > eps_death
-            lo[open_] = np.where(up, mid, lo_open[keep])
-            hi[open_] = np.where(up, hi_open[keep], mid)
+    while True:
+        lo_open, hi_open = lo[open_], hi[open_]
+        mid = 0.5 * (lo_open + hi_open)
+        keep = (hi_open - lo_open > xtol) & (lo_open < mid) & (mid < hi_open)
+        open_, mid = open_[keep], mid[keep]
+        if not open_.size:
+            return 0.5 * (lo + hi)
+        up = _alive(cols, open_, channel, mid, eps_death)
+        lo[open_] = np.where(up, mid, lo_open[keep])
+        hi[open_] = np.where(up, hi_open[keep], mid)
 
 
+# rate * time may overflow at late times; exp(-inf) = 0 is right
+@np.errstate(over="ignore")
 def _death_reports(
     x: XState,
     channel: ChannelSpec,
@@ -427,10 +416,8 @@ def _death_reports(
 
     cols = [np.atleast_1d(getattr(x, f)) for f in "abcdwz"]
     count = cols[0].size
-    # rate * horizon may overflow; exp(-inf) = 0 is right
-    with np.errstate(over="ignore"):
-        curves = x_closed_curves(XState(*(col[:, None] for col in cols)), channel,
-                                 np.array([0.0, horizon]))
+    curves = x_closed_curves(XState(*(col[:, None] for col in cols)), channel,
+                             np.array([0.0, horizon]))
     neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
     alive = neg > tol.eps_death
     ever, alive_end = alive[:, 0], alive[:, 1]
@@ -438,10 +425,8 @@ def _death_reports(
     # the block that carries the entanglement (at most one block ever does)
     inner_block = inner_pt[:, 0] < outer_pt[:, 0]
 
-    finite = np.zeros(count, dtype=bool)
-    for inner in (False, True):
-        rows = np.flatnonzero(ever & (inner_block == inner))
-        finite[rows] = _limit_margin(XState(*(col[rows] for col in cols)), channel, inner) < 0.0
+    margins = [_limit_margin(XState(*cols), channel, inner) for inner in (False, True)]
+    finite = ever & (np.where(inner_block, margins[1], margins[0]) < 0.0)
     # the z-block margin under collective dephasing is constant
     persistent = ever & ~finite & ~inner_block & isinstance(channel, CollectiveDephasing)
 
@@ -450,11 +435,7 @@ def _death_reports(
     late = np.nonzero(finite & alive_end)[0]
     reach = horizon
     while late.size and math.isfinite(2.0 * reach):
-        part = XState(*(col[late] for col in cols))
-        # rate * time may overflow near the largest float; exp(-inf) = 0 is right
-        with np.errstate(over="ignore"):
-            curves = x_closed_curves(part, channel, np.full(late.size, 2.0 * reach))
-        up = _x_diagnostics(curves)[0] > tol.eps_death
+        up = _alive(cols, late, channel, np.full(late.size, 2.0 * reach), tol.eps_death)
         lo[late[~up]], hi[late[~up]] = reach, 2.0 * reach
         late = late[up]
         reach *= 2.0
@@ -611,6 +592,7 @@ def death_report_to_json(report: DeathReport) -> str:
 
 
 def death_report_from_json(text: str) -> DeathReport:
+    """Read :func:`death_report_to_json` output; malformed input raises :class:`ParseError`."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -621,10 +603,13 @@ def death_report_from_json(text: str) -> DeathReport:
     t_star, crossings = payload["t_star"], payload["crossings"]
     if isinstance(crossings, bool) or not isinstance(crossings, int):
         raise ParseError(f"death report crossings must be an integer, got {crossings!r}")
-    return DeathReport(
-        str(payload["verdict"]),
-        None if t_star is None else float(t_star),
-        float(payload["horizon"]),
-        crossings,
-        float(payload["epsilon_death"]),
-    )
+    try:
+        return DeathReport(
+            str(payload["verdict"]),
+            None if t_star is None else float(t_star),
+            float(payload["horizon"]),
+            crossings,
+            float(payload["epsilon_death"]),
+        )
+    except (TypeError, ValueError) as exc:  # a non-number, or a report DeathReport refuses
+        raise ParseError(f"bad death report JSON: {exc}") from None

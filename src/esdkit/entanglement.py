@@ -78,9 +78,7 @@ def partial_transpose(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     involutive, trace- and Hermiticity-preserving.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return np.ascontiguousarray(
-        m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    )
+    return _partial_transpose_many(m[None])[0]
 
 
 def _partial_transpose_many(stack: np.ndarray) -> np.ndarray:
@@ -88,6 +86,15 @@ def _partial_transpose_many(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(
         stack.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     )
+
+
+def _pt_diagnostics(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negativity, min PT eigenvalue) per matrix of an exactly Hermitian
+    (n, 4, 4) stack: the one partial-transpose eigensolve.  Partial transposition
+    permutes entries, so it commutes with an exact Hermitian average taken first."""
+    pt_eigs = np.linalg.eigvalsh(_partial_transpose_many(stack))
+    neg = np.where(pt_eigs < 0.0, -pt_eigs, 0.0).sum(axis=1)
+    return neg, pt_eigs[:, 0]
 
 
 def eigenvalues_hermitian(
@@ -104,7 +111,7 @@ def eigenvalues_hermitian(
 
 def min_pt_eigenvalue(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Minimum eigenvalue of the partial transpose (the signed margin)."""
-    return float(eigenvalues_hermitian(partial_transpose(rho), tol)[0])
+    return float(_pt_diagnostics(_hermitize(rho.matrix, tol, "matrix")[None])[1][0])
 
 
 def negativity(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -113,8 +120,7 @@ def negativity(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     Zero exactly when the state is separable; for two qubits at most one
     eigenvalue can be negative, so this equals ``max(0, -margin)``.
     """
-    evals = eigenvalues_hermitian(partial_transpose(rho), tol)
-    return float(np.abs(evals[evals < 0.0]).sum())
+    return float(_pt_diagnostics(_hermitize(rho.matrix, tol, "matrix")[None])[0][0])
 
 
 def is_entangled_ppt(rho: DensityMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -156,9 +162,7 @@ def _regions(
     :func:`eigenvalues_hermitian` member by member.
     """
     states, rank_margin = _density_stack(stack, tol, first)
-    # partial transposition permutes entries, so it commutes with the
-    # exact symmetrization of the states
-    margin = np.linalg.eigvalsh(_partial_transpose_many(states))[:, 0]
+    margin = _pt_diagnostics(states)[1]
     interior = (margin > tol.eps_ent) & (rank_margin > tol.eps_ent)
     return np.where(margin < -tol.eps_ent, 2, np.where(interior, 0, 1)), margin, rank_margin
 

@@ -321,18 +321,12 @@ def _raise_x(params: tuple[np.ndarray, ...], i: int, check: str | None, tol: Tol
 
 def embed_x(x: XState) -> DensityMatrix:
     """Return the dense 4x4 matrix of an X state."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a, x.b, x.c, x.d
-    m[0, 3] = x.w
-    m[3, 0] = np.conj(x.w)
-    m[1, 2] = x.z
-    m[2, 1] = np.conj(x.z)
-    return _unchecked_density(m)
+    return _unchecked_density(_x_matrices([np.atleast_1d(getattr(x, f)) for f in "abcdwz"])[0])
 
 
 def _x_matrices(params: tuple[np.ndarray, ...]) -> np.ndarray:
     """Stack X parameter arrays ``(a, b, c, d, w, z)`` into an (n, 4, 4)
-    array, each matrix bit for bit the one :func:`embed_x` builds."""
+    array; :func:`embed_x` is its one-row call."""
     a, b, c, d, w, z = params
     arr = np.zeros((a.size, 4, 4), dtype=complex)
     arr[:, 0, 0], arr[:, 1, 1], arr[:, 2, 2], arr[:, 3, 3] = a, b, c, d

@@ -44,9 +44,11 @@ from esdkit.errors import (
     OutOfRangeError,
     ParseError,
     StepTooLargeError,
+    TraceNotOneError,
     UnsupportedChannelError,
     ValidationError,
 )
+from esdkit.states import XState
 
 from _oracles import (
     collective_jumps,
@@ -430,8 +432,18 @@ def test_closed_curves_shape_and_negative_time():
     channel = IndependentDephasing(1.0, 1.0)
     curves = x_closed_curves(x, channel, np.linspace(0.0, 2.0, 7))
     assert all(curve.shape == (7,) for curve in curves)
-    with pytest.raises(ValidationError):
-        x_closed_curves(x, channel, [-0.1, 0.5])
+    for times in ([-0.1, 0.5], [0.5, float("nan")]):
+        with pytest.raises(ValidationError, match="^times must be nonnegative$"):
+            x_closed_curves(x, channel, times)
+
+
+def test_propagate_x_closed_refuses_nan_time_and_invalid_state():
+    quarter = make_x(0.25, 0.25, 0.25, 0.25)
+    with pytest.raises(ValidationError, match="^times must be nonnegative$"):
+        propagate_x_closed(quarter, IndependentDecay(1.0, 1.0, 0.0), float("nan"))
+    # a bare XState of trace 2 is validated as make_x would
+    with pytest.raises(TraceNotOneError, match="populations sum deviates from 1"):
+        propagate_x_closed(XState(0.9, 0.1, 0.1, 0.9, 0j, 0j), IndependentDecay(1.0, 1.0), 1.0)
 
 
 def test_closed_curves_refuse_custom_channel():
@@ -542,8 +554,9 @@ def test_thermal_product_values():
     )
     ground = thermal_product(0.0)
     np.testing.assert_array_equal(np.diag(ground.matrix).real, [0, 0, 0, 1])
-    with pytest.raises(OutOfRangeError):
-        thermal_product(-0.1)
+    for nbar in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(OutOfRangeError, match="must be nonnegative and finite"):
+            thermal_product(nbar)
 
 
 def test_asymptotic_set_catalog():
@@ -625,13 +638,28 @@ def test_channel_literal_forms():
     assert parse_channel_literal("collective:2.0") == CollectiveDephasing(2.0)
 
 
-def test_channel_literal_errors():
+def test_channel_literal_errors(tmp_path):
     with pytest.raises(ParseError):
         parse_channel_literal("squeeze:1.0")
-    with pytest.raises(ParseError):
-        parse_channel_literal("decay:1,1")
-    with pytest.raises(ParseError):
-        parse_channel_literal("dephase:1,abc")
+    # channel numbers are read with the state-literal grammar
+    for literal, message in (
+        ("decay:1,1", "decay literal needs 3 comma-separated fields"),
+        ("decay:1:2,3,0", "decay literal needs 3 comma-separated fields"),
+        ("dephase:1,1,1", "dephase literal needs 2 comma-separated fields"),
+        ("collective:1,1", "collective literal needs 1 comma-separated fields"),
+        ("dephase:1,abc", "dephase literal has a non-numeric field "
+                          "(could not convert string to float: 'abc')"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_channel_literal(literal)
+    assert type(parse_channel_literal("decay:1,2,0").nbar) is float
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"jumps": [{"matrix": "dense:" + ",".join(["0:0"] * 16),
+                                           "rate": "fast"}]}))
+    message = (f"jump 1 in {str(path)!r}: rate literal has a non-numeric field "
+               "(could not convert string to float: 'fast')")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_channel_literal(f"custom:{path}")
     with pytest.raises(UnsupportedChannelError):
         format_channel_literal(CustomChannel(((np.eye(4), 1.0),)))
 

@@ -107,6 +107,14 @@ def test_simulate_closed_diagnostics_match_dense_eigensolves():
         np.testing.assert_allclose(
             np.linalg.eigvalsh(rho.matrix)[0], traj.min_eig[i], atol=1e-12
         )
+    # an RK4 trajectory's columns come from the same PT eigensolve, bit for bit
+    dense = simulate(
+        random_density(3), IndependentDecay(1.0, 0.5, 0.4), horizon=3.0, sample_every=200
+    )
+    assert not dense.is_x and dense.negativity[0] > 0.1
+    for rho, neg, min_pt in zip(dense.states, dense.negativity, dense.min_pt_eig):
+        assert negativity(rho) == neg
+        assert min_pt_eigenvalue(rho) == min_pt
 
 
 def test_simulate_numeric_path_for_dense_state():
@@ -739,6 +747,9 @@ def test_death_report_json_round_trip():
     assert death_report_from_json(death_report_to_json(finite)) == finite
     open_ended = DeathReport(VERDICT_ASYMPTOTIC, None, 50.0, 0, 1e-10)
     assert death_report_from_json(death_report_to_json(open_ended)) == open_ended
+    for verdict in (VERDICT_PERSISTENT, VERDICT_NEVER):
+        report = DeathReport(verdict, None, 3.5, 0, 1e-3)
+        assert death_report_from_json(death_report_to_json(report)) == report
 
 
 def test_death_report_json_errors():
@@ -750,11 +761,17 @@ def test_death_report_json_errors():
     for crossings in ("2.7", "1.0", "true", '"1"'):
         with pytest.raises(ParseError, match="crossings"):
             death_report_from_json(f'{{{fields}, "crossings": {crossings}}}')
-    with pytest.raises(ValidationError):
-        death_report_from_json(
-            '{"verdict": "finite", "t_star": NaN, "horizon": NaN, "crossings": 0,'
-            ' "epsilon_death": -1}'
-        )
+    # every malformed document is a ParseError, whichever check refuses it
+    for document, reason in (
+        ('{"verdict": "finite", "t_star": NaN, "horizon": NaN, "crossings": 0,'
+         ' "epsilon_death": -1}', "horizon must be positive"),
+        (f'{{{fields}, "crossings": 1}}'.replace("10.0", "[1]"), "float"),
+        (f'{{{fields}, "crossings": 1}}'.replace("1.5", '"x"'), "could not convert"),
+        (f'{{{fields}, "crossings": 1}}'.replace('"finite"', '"gone"'), "unknown verdict"),
+        (f'{{{fields}, "crossings": 1}}'.replace("1.5", "NaN"), "t_star must be finite"),
+    ):
+        with pytest.raises(ParseError, match=f"^bad death report JSON: .*{reason}"):
+            death_report_from_json(document)
 
 
 def test_death_report_validation():
