@@ -102,12 +102,22 @@ __all__ = [
 ]
 
 
-def _require_rates(pairs: dict[str, float]) -> None:
+def _require_rates(pairs: dict[str, float], derived: dict[str, float]) -> None:
     for name, value in pairs.items():
         if not (value >= 0.0 and math.isfinite(value)):
             raise OutOfRangeError(f"rate {name}={value!r} must be nonnegative and finite")
     if max(pairs.values()) <= 0.0:
         raise OutOfRangeError("at least one rate must be positive")
+    for name, value in derived.items():
+        if not math.isfinite(value):
+            raise OutOfRangeError(f"derived rate {name}={value!r} overflows")
+
+
+def _thermal_scale(nbar: float) -> float:
+    """``2 nbar + 1``, the factor of the decay rates, refusing an ``nbar`` it overflows."""
+    if not (nbar >= 0.0 and math.isfinite(2.0 * nbar + 1.0)):
+        raise OutOfRangeError(f"nbar={nbar!r} must be nonnegative and finite, as must 2*nbar+1")
+    return 2.0 * nbar + 1.0
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,10 @@ class IndependentDecay:
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_rates({"gamma_a": self.gamma_a, "gamma_b": self.gamma_b})
-        if not (self.nbar >= 0.0 and math.isfinite(self.nbar)):
-            raise OutOfRangeError(f"nbar={self.nbar!r} must be nonnegative and finite")
+        scale = _thermal_scale(self.nbar)
+        _require_rates({"gamma_a": self.gamma_a, "gamma_b": self.gamma_b},
+                       {"gamma_a*(2*nbar+1)": self.gamma_a * scale,
+                        "gamma_b*(2*nbar+1)": self.gamma_b * scale})
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,8 @@ class IndependentDephasing:
     kappa_b: float
 
     def __post_init__(self) -> None:
-        _require_rates({"kappa_a": self.kappa_a, "kappa_b": self.kappa_b})
+        _require_rates({"kappa_a": self.kappa_a, "kappa_b": self.kappa_b},
+                       {"kappa_a+kappa_b": self.kappa_a + self.kappa_b})
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,7 @@ class CollectiveDephasing:
     kappa_c: float
 
     def __post_init__(self) -> None:
-        _require_rates({"kappa_c": self.kappa_c})
+        _require_rates({"kappa_c": self.kappa_c}, {"2*kappa_c": 2.0 * self.kappa_c})
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,9 +486,7 @@ AsymptoticSet = Union[SinglePoint, XFamily, ExplicitSamples]
 def thermal_product(nbar: float) -> DensityMatrix:
     """Product of single-qubit thermal states, excited weight
     ``q = nbar / (2 nbar + 1)`` on each qubit."""
-    if not (nbar >= 0.0 and math.isfinite(nbar)):
-        raise OutOfRangeError(f"nbar={nbar!r} must be nonnegative and finite")
-    q = nbar / (2.0 * nbar + 1.0)
+    q = nbar / _thermal_scale(nbar)
     single = np.diag([q, 1.0 - q]).astype(complex)
     return _unchecked_density(np.kron(single, single))
 

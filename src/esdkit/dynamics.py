@@ -31,11 +31,14 @@ negativity cannot grow under local maps, so a state is entangled exactly
 on ``[0, t*)``.  One kernel, ``_death_reports``, decides X states sharing
 a channel and horizon from their negativity at 0 and at the horizon, and
 refines all crossings in one vectorised bisection; :func:`death_time`
-runs it on one row, CLI sweeps on a whole grid.
+runs it on one row, CLI sweeps on a whole grid.  Each closed-form probe of
+the kernel decides several halvings of every bracket at once (the next
+levels of its halving tree), or a whole ladder of doublings of the horizon.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -194,29 +197,18 @@ class DeathReport:
             raise ValidationError(f"eps_death must lie in (0, 1e-2], got {self.eps_death!r}")
 
 
-def _x_diagnostics(
-    curves: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact X-state diagnostics from the 2x2 block closed forms.
-
-    Partial transposition swaps the two coherences between the outer
-    (levels 1,4) and inner (levels 2,3) blocks, so the minimum PT
-    eigenvalue is the smaller of the two block minima with ``z`` and ``w``
-    exchanged.  Block arithmetic keeps tiny negativities sign-accurate
-    where a full eigensolve would drown them in roundoff from the large
-    complement block.  Returns ``(negativity, min_pt, min_eig, outer_pt,
-    inner_pt)``, elementwise over the curves, so a batch of ``(R, n)``
-    curves gives ``(R, n)`` diagnostics.
-    """
+def _pt_blocks(curves: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(negativity, outer_pt, inner_pt)`` of X curves ``(a, b, c, d, w, z)``,
+    elementwise, so ``(R, n)`` curves give ``(R, n)`` arrays: the lower
+    eigenvalues of the outer (levels 1,4) and inner (levels 2,3) blocks of
+    the partial transpose, which swaps their coherences.  Block arithmetic
+    keeps tiny negativities sign-accurate where a full eigensolve would
+    drown them in roundoff from the large complement block."""
     a, b, c, d, w, z = curves
     outer_pt = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(z))
     inner_pt = 0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(w))
     neg = np.where(outer_pt < 0.0, -outer_pt, 0.0) + np.where(inner_pt < 0.0, -inner_pt, 0.0)
-    min_pt = np.minimum(outer_pt, inner_pt)
-    outer = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(w))
-    inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(z))
-    min_eig = np.minimum(outer, inner)
-    return neg, min_pt, min_eig, outer_pt, inner_pt
+    return neg, outer_pt, inner_pt
 
 
 def _x_form(state0: XState | DensityMatrix, tol: ToleranceConfig) -> XState | None:
@@ -283,7 +275,11 @@ def simulate(
         curves = x_closed_curves(x0, channel, times)
         stack = _x_matrices(curves)
         populations = curves[:4]
-        neg, min_pt, min_eig = _x_diagnostics(curves)[:3]
+        neg, outer_pt, inner_pt = _pt_blocks(curves)
+        min_pt = np.minimum(outer_pt, inner_pt)
+        a, b, c, d, w, z = curves  # the blocks of the state itself hold w and z
+        min_eig = np.minimum(0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(w)),
+                             0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(z)))
     else:
         if x0 is not None and not isinstance(state0, DensityMatrix):
             state0 = embed_x(x0)
@@ -350,38 +346,70 @@ def _require_positive(name: str, value: float) -> None:
 
 def _alive(cols: list[np.ndarray], rows: np.ndarray, channel: ChannelSpec,
            times: np.ndarray, eps_death: float) -> np.ndarray:
-    """Whether each X row ``rows`` of the columns ``cols`` has a closed-form
-    negativity above ``eps_death`` at its entry of ``times``."""
+    """Whether each X row ``rows`` of ``cols`` has a closed-form negativity above
+    ``eps_death`` at ``times``, whose last axis runs over the rows or broadcasts to them."""
     part = XState(*(col[rows] for col in cols))
-    return _x_diagnostics(x_closed_curves(part, channel, times))[0] > eps_death
+    return _pt_blocks(x_closed_curves(part, channel, times))[0] > eps_death
 
 
-def _bisect_deaths(
-    cols: list[np.ndarray],
-    channel: ChannelSpec,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    xtol: float,
-    eps_death: float,
-) -> np.ndarray:
+_PROBE_POINTS = 256  # times per death probe, which costs about the same for 1 as for 255
+
+
+@functools.lru_cache(maxsize=None)
+def _halving_tree(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid indices ``(low, high, mid)`` of the nodes of a ``depth``-level halving
+    tree on ``2^depth + 1`` points, in heap order: node ``i`` halves into the
+    dead node ``2i + 1`` and the alive ``2i + 2``; ``mid`` only above the last level."""
+    k = np.arange(1, 2 << depth)
+    width = 1 << (depth + 1 - np.frexp(k)[1])
+    low = k * width - (1 << depth)
+    tree = low, low + width, (low + width // 2)[: (1 << depth) - 1]
+    for ends in tree:  # cached, so shared by every call
+        ends.setflags(write=False)
+    return tree
+
+
+def _bisect_deaths(cols: list[np.ndarray], channel: ChannelSpec, lo: np.ndarray,
+                   hi: np.ndarray, xtol: float, eps_death: float) -> np.ndarray:
     """Refine alive-to-dead brackets ``[lo, hi]``, one per entry of ``cols``.
 
-    All brackets are halved together; each stops once its own width is at
-    most ``xtol``, or once its midpoint equals an endpoint so that halving
-    can no longer shrink it, and reports its midpoint.
+    Each is halved until its width is at most ``xtol`` or its midpoint
+    ``0.5 * (lo + hi)`` equals an end, and reports that midpoint.  A round
+    forms the midpoints of the next ``depth <= 6`` levels of each open
+    bracket's halving tree the same way, probes them in one :func:`_alive`
+    call of at most ``_PROBE_POINTS`` times, and walks each row down to the
+    last level or to the first node that stops: the midpoints, stops and
+    bits of one halving per probe.
     """
-    lo, hi = lo.copy(), hi.copy()
+    t_star = np.empty(lo.size)
     open_ = np.arange(lo.size)
     while True:
-        lo_open, hi_open = lo[open_], hi[open_]
-        mid = 0.5 * (lo_open + hi_open)
-        keep = (hi_open - lo_open > xtol) & (lo_open < mid) & (mid < hi_open)
-        open_, mid = open_[keep], mid[keep]
+        mid = 0.5 * (lo + hi)
+        keep = (hi - lo > xtol) & (lo < mid) & (mid < hi)
+        t_star[open_[~keep]] = mid[~keep]
+        open_, lo, hi, mid = open_[keep], lo[keep], hi[keep], mid[keep]
         if not open_.size:
-            return 0.5 * (lo + hi)
-        up = _alive(cols, open_, channel, mid, eps_death)
-        lo[open_] = np.where(up, mid, lo_open[keep])
-        hi[open_] = np.where(up, hi_open[keep], mid)
+            return t_star
+        n = open_.size
+        depth = min(6, max(1, (_PROBE_POINTS // n + 1).bit_length() - 1))
+        low, high, mids = _halving_tree(depth)
+        # a row of grid points per tree position, a column per open bracket
+        grid = np.empty(((1 << depth) + 1, n))
+        grid[0], grid[-1], grid[1 << (depth - 1)] = lo, hi, mid
+        for cells in (1 << depth) >> np.arange(1, depth):
+            np.multiply(0.5, grid[:-1:cells] + grid[cells::cells], out=grid[cells // 2::cells])
+        # an overflowing midpoint stops its node; clamped to hi, the times below stay finite
+        np.minimum(grid, hi, out=grid)
+        l, h, m = grid[low[: mids.size]], grid[high[: mids.size]], grid[mids]
+        up = _alive(cols, open_, channel, m, eps_death)
+        # each node's successor as a flat index into (node, row); a stopped node keeps the row
+        column, nodes = np.arange(n), np.arange(mids.size)[:, None]
+        step = np.where((h - l > xtol) & (l < m) & (m < h), 2 * nodes + 1 + up, nodes)
+        at, step = column, step * n + column
+        for _ in range(depth):
+            at = step.take(at)
+        # a row that stopped on the way stops again at the top of the next round
+        lo, hi = grid[low[at // n], column], grid[high[at // n], column]
 
 
 # rate * time may overflow at late times; exp(-inf) = 0 is right
@@ -402,7 +430,8 @@ def _death_reports(
     ``eps_death`` once iff it is dead at ``H``.  A row that dies by its
     block's limit-margin verdict is bracketed by ``[0, H]``, or, if alive
     at ``H``, by ``[H 2^(k-1), H 2^k]`` for the first ``k`` at which its
-    negativity is at most ``eps_death``; one vectorised bisection refines
+    negativity is at most ``eps_death``, all rungs ``H 2^k`` probed in one
+    call up to ``_PROBE_POINTS`` points; one vectorised bisection refines
     all brackets.  A row whose negativity stays above ``eps_death`` at
     every representable time (only through roundoff at the separable
     boundary or populations in the tolerance band of
@@ -418,7 +447,7 @@ def _death_reports(
     count = cols[0].size
     curves = x_closed_curves(XState(*(col[:, None] for col in cols)), channel,
                              np.array([0.0, horizon]))
-    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
+    neg, outer_pt, inner_pt = _pt_blocks(curves)
     alive = neg > tol.eps_death
     ever, alive_end = alive[:, 0], alive[:, 1]
     crossings = ever & ~alive_end
@@ -431,14 +460,17 @@ def _death_reports(
     persistent = ever & ~finite & ~inner_block & isinstance(channel, CollectiveDephasing)
 
     lo, hi = np.zeros(count), np.full(count, horizon)
-    # rows alive at the horizon: double the time until they are dead
+    # rows alive at the horizon: bracket each by its first dead rung of a ladder of doublings
     late = np.nonzero(finite & alive_end)[0]
     reach = horizon
     while late.size and math.isfinite(2.0 * reach):
-        up = _alive(cols, late, channel, np.full(late.size, 2.0 * reach), tol.eps_death)
-        lo[late[~up]], hi[late[~up]] = reach, 2.0 * reach
-        late = late[up]
-        reach *= 2.0
+        # reach * 2^k is exact, and finite up to k = 1024 - (exponent of reach)
+        rungs = np.ldexp(reach, np.arange(1 + min(max(1, _PROBE_POINTS // late.size),
+                                                  1024 - math.frexp(reach)[1])))
+        up = _alive(cols, late, channel, rungs[1:, None], tol.eps_death)
+        first, dead = up.argmin(axis=0), ~up.all(axis=0)
+        lo[late[dead]], hi[late[dead]] = rungs[first[dead]], rungs[first[dead] + 1]
+        late, reach = late[~dead], float(rungs[-1])
     # alive at every representable time
     finite[late], persistent[late] = False, True
 
@@ -603,6 +635,9 @@ def death_report_from_json(text: str) -> DeathReport:
     t_star, crossings = payload["t_star"], payload["crossings"]
     if isinstance(crossings, bool) or not isinstance(crossings, int):
         raise ParseError(f"death report crossings must be an integer, got {crossings!r}")
+    for name in ("t_star", "horizon", "epsilon_death"):
+        if isinstance(payload[name], bool):
+            raise ParseError(f"death report {name} must be a number, got {payload[name]!r}")
     try:
         return DeathReport(
             str(payload["verdict"]),

@@ -577,7 +577,7 @@ def _literal_numbers(bodies: list[str], prefix: str, separators: str) -> np.ndar
     commas = separators.count(",")
     if (found != ",".join([separators] * len(texts)).encode()
             or any(text.count(",") != commas for text in texts)):
-        fields = "re:im entries" if ":" in separators else "fields"
+        fields = "re:im entries" if ":" in separators else "fields" if commas else "field"
         raise ParseError(f"{prefix[:-1]} literal needs {commas + 1} comma-separated {fields}")
     try:
         numbers = list(map(float, joined.replace(":", ",").split(","))) if texts else []

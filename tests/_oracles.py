@@ -28,7 +28,7 @@ from esdkit.dynamics import (
     VERDICT_PERSISTENT,
     DeathReport,
     _limit_margin,
-    _x_diagnostics,
+    _pt_blocks,
 )
 from esdkit.entanglement import eigenvalues_hermitian, partial_transpose
 from esdkit.errors import (
@@ -151,7 +151,7 @@ def random_local_unitary(rng):
 
 
 def _x_negativity_at(x0, channel, times):
-    return _x_diagnostics(x_closed_curves(x0, channel, times))[0]
+    return _pt_blocks(x_closed_curves(x0, channel, times))[0]
 
 
 def _bisect_threshold(margin, lo, hi, xtol):
@@ -177,7 +177,7 @@ def death_time_scalar(x0, channel, horizon, tol):
     """
     with np.errstate(over="ignore"):
         curves = x_closed_curves(x0, channel, np.array([0.0, horizon]))
-    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
+    neg, outer_pt, inner_pt = _pt_blocks(curves)
     alive_start, alive_end = bool(neg[0] > tol.eps_death), bool(neg[1] > tol.eps_death)
 
     def report(verdict, t_star=None):
@@ -216,7 +216,7 @@ def death_time_grid_scalar(x0, channel, horizon, tol):
     times = np.linspace(0.0, horizon, DEFAULT_SAMPLES + 1)
     with np.errstate(over="ignore"):
         curves = x_closed_curves(x0, channel, times)
-    neg, _, _, outer_pt, inner_pt = _x_diagnostics(curves)
+    neg, outer_pt, inner_pt = _pt_blocks(curves)
     alive = neg > tol.eps_death
     flips = np.nonzero(alive[:-1] != alive[1:])[0]
 

@@ -559,6 +559,28 @@ def test_thermal_product_values():
             thermal_product(nbar)
 
 
+def test_channels_refuse_parameters_whose_derived_rates_overflow():
+    # the closed forms add and multiply the parameters; a derived rate of inf
+    # made the negativity at t = 0 inf * 0 = NaN, read as never entangled, and
+    # made thermal_product's q = nbar / inf = 0, the ground state
+    for make, derived in (
+        (lambda: IndependentDephasing(1e308, 1e308), "kappa_a+kappa_b"),
+        (lambda: CollectiveDephasing(1e308), "2*kappa_c"),
+        (lambda: IndependentDecay(1e308, 1.0, 0.5), "gamma_a*(2*nbar+1)"),
+        (lambda: IndependentDecay(1.0, 1e308, 0.5), "gamma_b*(2*nbar+1)"),
+        (lambda: IndependentDecay(1.0, 1.0, 1e308), "2*nbar+1"),
+        (lambda: IndependentDecay(1.0, 1.0, 9e307), "2*nbar+1"),
+        (lambda: thermal_product(1e308), "2*nbar+1"),
+    ):
+        with pytest.raises(OutOfRangeError, match=re.escape(derived)):
+            make()
+    # just below, every derived rate is finite, and the thermal product is I/4
+    for channel in (IndependentDephasing(8e307, 8e307), CollectiveDephasing(8e307),
+                    IndependentDecay(1.0, 1.0, 8e307), IndependentDecay(1e308, 1.0, 0.0)):
+        assert max_rate(channel) >= 4e307
+    np.testing.assert_allclose(thermal_product(8e307).matrix, np.eye(4) / 4.0, atol=1e-15)
+
+
 def test_asymptotic_set_catalog():
     aset = asymptotic_set(IndependentDecay(1.0, 2.0, nbar=0.5))
     assert isinstance(aset, SinglePoint)
@@ -646,7 +668,7 @@ def test_channel_literal_errors(tmp_path):
         ("decay:1,1", "decay literal needs 3 comma-separated fields"),
         ("decay:1:2,3,0", "decay literal needs 3 comma-separated fields"),
         ("dephase:1,1,1", "dephase literal needs 2 comma-separated fields"),
-        ("collective:1,1", "collective literal needs 1 comma-separated fields"),
+        ("collective:1,1", "collective literal needs 1 comma-separated field"),
         ("dephase:1,abc", "dephase literal has a non-numeric field "
                           "(could not convert string to float: 'abc')"),
     ):

@@ -679,6 +679,20 @@ def test_dense_state_near_float_max_exits_2(name, message, capsys):
     assert capsys.readouterr().err.startswith(f"error: invalid --state: {message} ")
 
 
+@pytest.mark.parametrize("channel", ["collective:1e308", "decay:1e308,1e308,1e308"])
+def test_overflowing_channel_rates_exit_2(channel):
+    # refused when parsed, not read as never entangled, and with no numpy
+    # RuntimeWarning even where warnings are errors
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "esdkit", "death-time",
+         "--channel", channel, "--state", "x:0.4,0.1,0.1,0.4,0.3,0,0.05,0"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert_clean_exit_2(result)
+    assert result.stderr.startswith("error: invalid --channel: ")
+    assert result.stderr.count("\n") == 1 and result.stdout == ""
+
+
 SMALL_STEP_STATE = ("dense:0.4:0,0.05:0,0:0,0.2:0,0.05:0,0.1:0,0.05:0,0:0,"
                     "0:0,0.05:0,0.1:0,0:0,0.2:0,0:0,0:0,0.4:0")
 

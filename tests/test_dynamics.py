@@ -7,6 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+import esdkit.dynamics
 from esdkit import (
     CollectiveDephasing,
     CustomChannel,
@@ -43,7 +44,7 @@ from esdkit import (
     werner,
 )
 from esdkit.channels import asymptotic_set, set_contains, x_closed_curves
-from esdkit.dynamics import _death_reports, _x_diagnostics
+from esdkit.dynamics import _death_reports, _pt_blocks
 from esdkit.errors import (
     NegativePopulationError,
     NotPositiveError,
@@ -494,6 +495,63 @@ def test_death_reports_match_the_grid_scan(channel):
             assert abs(got.t_star - want.t_star) < 1e-8 / rate, x
 
 
+# populations in make_x's tolerance band: a thermal reservoir heals the negative
+# ones at the slow qubit's rate, so the negativity reaches eps_death near
+# t* = 9e7, where adjacent floats lie further apart than 1e-9 / rate
+SLOW_HEALING = make_x(-5e-10, 0.5 + 5e-10, -5e-10, 0.5 + 5e-10)
+# alive at every representable time under dephasing (see the test above)
+BAND_PERSISTENT = make_x(0.5 + 5e-10, -5e-10, -5e-10, 0.5 + 5e-10, w=0.3)
+
+
+@pytest.mark.parametrize("channel", [
+    IndependentDecay(1.0, 0.5, 0.0),
+    IndependentDecay(1.0, 1e-16, 0.1),
+    IndependentDephasing(1.0, 0.5),
+    CollectiveDephasing(1.0),
+], ids=format_channel_literal)
+def test_death_reports_match_the_scalar_bisection_across_tree_levels(channel, monkeypatch):
+    # one kernel call decides rows that stop on xtol, on adjacent floats and
+    # at different levels of the same halving tree, rows bracketed by the
+    # doubling ladder and rows alive at every doubling, each with the bits
+    # of the one-level halving loop of the oracle
+    probes = []
+
+    def recording(cols, rows, channel, times, eps_death):
+        probes.append((np.shape(times)[0], len(rows)))
+        return alive(cols, rows, channel, times, eps_death)
+
+    alive = esdkit.dynamics._alive
+    monkeypatch.setattr(esdkit.dynamics, "_alive", recording)
+    rows = [random_x(seed) for seed in range(60)]
+    rows += [pure_family(a) for a in (0.55, 0.7, 0.95)] + [SLOW_HEALING, BAND_PERSISTENT]
+    rate = max_rate(channel)
+    reports = assert_matches_scalar_scan(rows, channel, 0.3 / rate)
+    assert any(r.t_star is not None and r.t_star > r.horizon for r in reports)
+    # a probe of several tree levels for several rows at once
+    assert any(points >= 3 and count >= 2 for points, count in probes)
+    slow, band = reports[-2:]
+    if channel == IndependentDecay(1.0, 1e-16, 0.1):
+        assert np.spacing(slow.t_star) > 1e-9 / rate
+    if isinstance(channel, IndependentDephasing):
+        assert band.verdict == VERDICT_PERSISTENT
+
+
+def test_death_time_decides_several_halvings_per_probe(monkeypatch):
+    # halving [0, 10] to 1e-9 takes 34 levels, and a bracket past a short
+    # horizon first takes a few doublings; one level per probe would take
+    # one probe per level
+    calls = []
+    alive = esdkit.dynamics._alive
+    monkeypatch.setattr(esdkit.dynamics, "_alive",
+                        lambda *args: calls.append(1) or alive(*args))
+    channel = IndependentDecay(1.0, 1.0, 0.0)
+    for horizon in (10.0, 0.01):
+        calls.clear()
+        report = death_time(pure_family(0.7), channel, horizon)
+        assert report == death_time_scalar(pure_family(0.7), channel, horizon, DEFAULT_TOL)
+        assert len(calls) <= 10
+
+
 @pytest.mark.parametrize(
     "channel",
     CATALOG_SAMPLE + [IndependentDecay(1.0, 0.3, 2.0), IndependentDephasing(0.0, 1.0)],
@@ -507,7 +565,7 @@ def test_catalog_negativity_never_grows(channel):
     for first in range(0, 500, 50):
         rows = [random_x(seed) for seed in range(first, first + 50)]
         cols = [np.array([getattr(x, f) for x in rows])[:, None] for f in "abcdwz"]
-        neg = _x_diagnostics(x_closed_curves(XState(*cols), channel, times))[0]
+        neg = _pt_blocks(x_closed_curves(XState(*cols), channel, times))[0]
         assert np.diff(neg, axis=1).max() <= 1e-15
 
 
@@ -761,6 +819,11 @@ def test_death_report_json_errors():
     for crossings in ("2.7", "1.0", "true", '"1"'):
         with pytest.raises(ParseError, match="crossings"):
             death_report_from_json(f'{{{fields}, "crossings": {crossings}}}')
+    # a JSON boolean is no number, although Python's float() takes it
+    for name, value in (("t_star", "1.5"), ("horizon", "10.0"), ("epsilon_death", "1e-10")):
+        document = f'{{{fields}, "crossings": 1}}'.replace(f'"{name}": {value}', f'"{name}": true')
+        with pytest.raises(ParseError, match=f"^death report {name} must be a number, got True$"):
+            death_report_from_json(document)
     # every malformed document is a ParseError, whichever check refuses it
     for document, reason in (
         ('{"verdict": "finite", "t_star": NaN, "horizon": NaN, "crossings": 0,'
