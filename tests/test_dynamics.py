@@ -517,7 +517,7 @@ def test_death_reports_match_the_scalar_bisection_across_tree_levels(channel, mo
     probes = []
 
     def recording(cols, rows, channel, times, eps_death):
-        probes.append((np.shape(times)[0], len(rows)))
+        probes.append((np.shape(times), len(rows)))
         return alive(cols, rows, channel, times, eps_death)
 
     alive = esdkit.dynamics._alive
@@ -527,8 +527,9 @@ def test_death_reports_match_the_scalar_bisection_across_tree_levels(channel, mo
     rate = max_rate(channel)
     reports = assert_matches_scalar_scan(rows, channel, 0.3 / rate)
     assert any(r.t_star is not None and r.t_star > r.horizon for r in reports)
-    # a probe of several tree levels for several rows at once
-    assert any(points >= 3 and count >= 2 for points, count in probes)
+    # a probe of several tree levels for several rows at once (a ladder's
+    # times are one column shared by its rows)
+    assert any(shape[0] >= 3 and shape[1] == count >= 2 for shape, count in probes)
     slow, band = reports[-2:]
     if channel == IndependentDecay(1.0, 1e-16, 0.1):
         assert np.spacing(slow.t_star) > 1e-9 / rate
