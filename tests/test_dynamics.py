@@ -515,12 +515,12 @@ def test_death_reports_match_the_scalar_bisection_across_tree_levels(channel, mo
     # doubling ladder and rows alive at every doubling, each with the bits
     # of the one-level halving loop of the oracle
     probes = []
+    alive = esdkit.dynamics._alive
 
     def recording(cols, rows, channel, times, eps_death):
         probes.append((np.shape(times), len(rows)))
         return alive(cols, rows, channel, times, eps_death)
 
-    alive = esdkit.dynamics._alive
     monkeypatch.setattr(esdkit.dynamics, "_alive", recording)
     rows = [random_x(seed) for seed in range(60)]
     rows += [pure_family(a) for a in (0.55, 0.7, 0.95)] + [SLOW_HEALING, BAND_PERSISTENT]
