@@ -38,7 +38,6 @@ levels of its halving tree), or a whole ladder of doublings of the horizon.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -355,20 +354,6 @@ def _alive(cols: list[np.ndarray], rows: np.ndarray, channel: ChannelSpec,
 _PROBE_POINTS = 256  # times per death probe, which costs about the same for 1 as for 255
 
 
-@functools.lru_cache(maxsize=None)
-def _halving_tree(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid indices ``(low, high, mid)`` of the nodes of a ``depth``-level halving
-    tree on ``2^depth + 1`` points, in heap order: node ``i`` halves into the
-    dead node ``2i + 1`` and the alive ``2i + 2``; ``mid`` only above the last level."""
-    k = np.arange(1, 2 << depth)
-    width = 1 << (depth + 1 - np.frexp(k)[1])
-    low = k * width - (1 << depth)
-    tree = low, low + width, (low + width // 2)[: (1 << depth) - 1]
-    for ends in tree:  # cached, so shared by every call
-        ends.setflags(write=False)
-    return tree
-
-
 def _bisect_deaths(cols: list[np.ndarray], channel: ChannelSpec, lo: np.ndarray,
                    hi: np.ndarray, xtol: float, eps_death: float) -> np.ndarray:
     """Refine alive-to-dead brackets ``[lo, hi]``, one per entry of ``cols``.
@@ -392,7 +377,12 @@ def _bisect_deaths(cols: list[np.ndarray], channel: ChannelSpec, lo: np.ndarray,
             return t_star
         n = open_.size
         depth = min(6, max(1, (_PROBE_POINTS // n + 1).bit_length() - 1))
-        low, high, mids = _halving_tree(depth)
+        # grid indices of the ends of the nodes k - 1 of a depth-level halving tree in heap
+        # order (node i halves into the dead 2i + 1 and the alive 2i + 2); inner nodes have a mid
+        k = np.arange(1, 2 << depth)
+        width = (1 << depth) >> (np.frexp(k)[1] - 1)
+        low = k * width - (1 << depth)
+        high, mids = low + width, (low + width // 2)[: (1 << depth) - 1]
         # a row of grid points per tree position, a column per open bracket
         grid = np.empty(((1 << depth) + 1, n))
         grid[0], grid[-1], grid[1 << (depth - 1)] = lo, hi, mid
