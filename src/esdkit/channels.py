@@ -162,6 +162,7 @@ class CustomChannel:
     """Explicit jump list ``((L_1, rate_1), ...)`` with 4x4 operators."""
 
     jumps: tuple = field(repr=False)
+    _terms: tuple = field(init=False, repr=False)  # (L, D(L), rate), as _jump_terms
 
     def __post_init__(self) -> None:
         if len(self.jumps) == 0:
@@ -182,10 +183,11 @@ class CustomChannel:
                     f"jump rate {idx + 1} must be nonnegative and finite: {rate!r}"
                 )
             top = max(top, rate)
-            normalized.append((_frozen(m), rate))
+            normalized.append((*_paired(m), rate))
         if top <= 0.0:
             raise OutOfRangeError("at least one jump rate must be positive")
-        object.__setattr__(self, "jumps", tuple(normalized))
+        object.__setattr__(self, "jumps", tuple((op, rate) for op, _, rate in normalized))
+        object.__setattr__(self, "_terms", tuple(normalized))
 
 
 ChannelSpec = Union[
@@ -200,39 +202,59 @@ def is_catalog(channel: ChannelSpec) -> bool:
     return isinstance(channel, _CATALOG)
 
 
-# the catalog's jump operators as (on qubit A, on qubit B), built once, read-only
+_EYE_4, _EYE_16, _TWO_EYE_16 = _frozen(np.eye(4)), _frozen(np.eye(16)), _frozen(2.0 * np.eye(16))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 4x4 matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
+def _paired(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, D(L))``, both read-only, with the dissipator ``D(L) = L kron conj(L) -
+    (L^dag L kron I + I kron (L^dag L)^T) / 2``, non-finite if L is too large for it."""
+    op = _frozen(op)
+    # a block: np.errstate as a decorator costs several times more per call
+    with np.errstate(over="ignore", invalid="ignore"):
+        anti = op.conj().T @ op
+        d = _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
+    return op, _frozen(d)
+
+
+# the catalog's jump operators as (on qubit A, on qubit B), each an (L, D(L)) pair
 _LOWER, _RAISE, _PHASE = (
-    (_frozen(np.kron(op, IDENTITY_2)), _frozen(np.kron(IDENTITY_2, op)))
+    (_paired(np.kron(op, IDENTITY_2)), _paired(np.kron(IDENTITY_2, op)))
     for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z)
 )
-_INVERSION = _frozen(0.5 * (_PHASE[0] + _PHASE[1]))
-_EYE_4 = _frozen(np.eye(4))
+_INVERSION = _paired(0.5 * (_PHASE[0][0] + _PHASE[1][0]))
+
+
+def _jump_terms(channel: ChannelSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The ``(L, D(L), rate)`` triples of the generator, zero rates dropped."""
+    if isinstance(channel, IndependentDecay):
+        down, up = channel.nbar + 1.0, channel.nbar
+        terms = [(*_LOWER[0], channel.gamma_a * down), (*_LOWER[1], channel.gamma_b * down),
+                 (*_RAISE[0], channel.gamma_a * up), (*_RAISE[1], channel.gamma_b * up)]
+    elif isinstance(channel, IndependentDephasing):
+        terms = [(*_PHASE[0], channel.kappa_a / 2.0), (*_PHASE[1], channel.kappa_b / 2.0)]
+    elif isinstance(channel, CollectiveDephasing):
+        terms = [(*_INVERSION, channel.kappa_c)]
+    elif isinstance(channel, CustomChannel):
+        terms = channel._terms
+    else:
+        raise UnsupportedChannelError(f"unknown channel type {type(channel).__name__}")
+    return [term for term in terms if term[2] > 0.0]
 
 
 def jump_operators(channel: ChannelSpec) -> list[tuple[np.ndarray, float]]:
     """The ``(L, rate)`` pairs defining the generator (zero rates dropped).
     Each ``L`` is read-only; catalog channels share module constants."""
-    if isinstance(channel, IndependentDecay):
-        pairs = [
-            (_LOWER[0], channel.gamma_a * (channel.nbar + 1.0)),
-            (_LOWER[1], channel.gamma_b * (channel.nbar + 1.0)),
-            (_RAISE[0], channel.gamma_a * channel.nbar),
-            (_RAISE[1], channel.gamma_b * channel.nbar),
-        ]
-    elif isinstance(channel, IndependentDephasing):
-        pairs = [(_PHASE[0], channel.kappa_a / 2.0), (_PHASE[1], channel.kappa_b / 2.0)]
-    elif isinstance(channel, CollectiveDephasing):
-        pairs = [(_INVERSION, channel.kappa_c)]
-    elif isinstance(channel, CustomChannel):
-        pairs = list(channel.jumps)
-    else:
-        raise UnsupportedChannelError(f"unknown channel type {type(channel).__name__}")
-    return [(op, rate) for op, rate in pairs if rate > 0.0]
+    return [(op, rate) for op, _, rate in _jump_terms(channel)]
 
 
 def max_rate(channel: ChannelSpec) -> float:
     """Largest jump rate; the natural inverse-time scale of the channel."""
-    return max(rate for _, rate in jump_operators(channel))
+    return max(rate for *_, rate in _jump_terms(channel))
 
 
 def generator(channel: ChannelSpec, rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -245,26 +267,23 @@ def generator(channel: ChannelSpec, rho: DensityMatrix | np.ndarray) -> np.ndarr
     return out
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 4x4 matrices, as one broadcast product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+def _lindblad(channel: ChannelSpec) -> tuple[np.ndarray, float]:
+    """:func:`liouvillian` and :func:`max_rate` from one walk of the jump list."""
+    terms = _jump_terms(channel)
+    out = np.zeros((16, 16), dtype=complex)
+    for _, d, rate in terms:
+        out += rate * d
+    return out, max(rate for *_, rate in terms)
 
 
 def liouvillian(channel: ChannelSpec) -> np.ndarray:
     """16x16 matrix acting on row-major vectorized states.
 
     Uses ``vec(A X B) = (A kron B^T) vec(X)``, so each jump contributes
-    ``rate (L kron conj(L) - (L^dag L kron I + I kron (L^dag L)^T) / 2)``.
-    Catalog jumps are shared read-only constants, and each Kronecker
-    product is one broadcast product with the entries of ``np.kron``.
+    ``rate D(L)``, with its dissipator ``D(L)`` (see :func:`_paired`) built once
+    per operator: the catalog's at import, a custom channel's at construction.
     """
-    out = np.zeros((16, 16), dtype=complex)
-    for op, rate in jump_operators(channel):
-        anti = op.conj().T @ op
-        out += rate * (
-            _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
-        )
-    return out
+    return _lindblad(channel)[0]
 
 
 def _step_plan(t: float, dt: float) -> tuple[int, float]:
@@ -300,12 +319,9 @@ def _rk4_samples(
     sample count, advance ``B`` samples per batched product.  A step too
     large for RK4 can overflow; :func:`_revalidate` reports it.
     """
-    eye = np.eye(16, dtype=complex)
-    two_eye = 2.0 * eye
-
     def delta(h: float) -> np.ndarray:
         a = h * lv
-        return a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+        return a @ (_EYE_16 + a @ (_EYE_16 + a @ (_EYE_16 + a / 4.0) / 3.0) / 2.0)
 
     def combine(r: np.ndarray, b: np.ndarray) -> np.ndarray:
         return r + b + r @ b
@@ -319,7 +335,7 @@ def _rk4_samples(
     with np.errstate(over="ignore", invalid="ignore"):
         squares = [delta(dt)]  # P(dt)^(2^k) - I, up to the longest run ks[1]
         for _ in range(ks[1].bit_length() - 1):
-            squares.append(squares[-1] @ (squares[-1] + two_eye))
+            squares.append(squares[-1] @ (squares[-1] + _TWO_EYE_16))
         if hops > 0:
             g = [functools.reduce(combine, bits(ks[1]))]
             for _ in range(1, math.isqrt(hops)):
@@ -378,12 +394,13 @@ def propagate_numeric(
         raise ValidationError(f"propagation time t={t!r} must be nonnegative")
     if t == 0.0:
         return rho0
+    lv, top = _lindblad(channel)
     if dt is None:
-        dt = 1e-3 / max_rate(channel)
+        dt = 1e-3 / top
     if not 0.0 < dt <= t:
         raise ValidationError(f"step dt={dt!r} must satisfy 0 < dt <= t={t!r}")
     n_steps, h_last = _step_plan(t, dt)
-    v = _rk4_samples(liouvillian(channel), rho0.matrix.reshape(16), dt, h_last, [0, n_steps])
+    v = _rk4_samples(lv, rho0.matrix.reshape(16), dt, h_last, [0, n_steps])
     return _unchecked_density(_revalidate(v[-1].reshape(1, 4, 4), tol)[0][0])
 
 

@@ -53,6 +53,7 @@ __all__ = ["RunConfig", "build_parser", "main",
 # x-literal field names accepted as sweep parameters; bare w/z mean the real parts
 _SWEEP_FIELDS = ("a", "b", "c", "d", "w_re", "w_im", "z_re", "z_im")
 _SWEEP_ALIASES = {"w": "w_re", "z": "z_re"}
+_MAX_SAMPLES = 1_000_000  # each sampled member holds about 1 KB; more exits 2
 
 
 @dataclass
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     classify.add_argument("--set-file", help="JSON file with explicit member states")
-    classify.add_argument("--samples", help="random members per sampled family (default 100)")
+    classify.add_argument("--samples", help="random members per sampled family "
+                                            f"(default 100, at most {_MAX_SAMPLES:,})")
     sweep = sub.add_parser("sweep", help="evaluate death-time over a parameter grid and write CSV",
                            parents=[shared])
     sweep.add_argument("--grid", action="append",
@@ -142,11 +144,13 @@ def _positive(text: str) -> float:
     return number
 
 
-def _at_least(low: int):
+def _count(low: int, most: float = math.inf):
     def count(text: str) -> int:
         number = int(text)
         if number < low:
             raise ValueError(f"must be >= {low}, got {number!r}")
+        if number > most:
+            raise ValueError(f"must be <= {most}, got {number!r}")
         return number
     return count
 
@@ -164,11 +168,11 @@ _FIELDS = {
     "state": ("state", parse_state_literal),
     "horizon": ("horizon", _positive),
     "dt": ("dt", _positive),
-    "seed": ("seed", _at_least(0)),
+    "seed": ("seed", _count(0)),
     "eps_death": ("tol", lambda text: ToleranceConfig(eps_death=float(text))),
     "out": ("out", str),
-    "jobs": (None, _at_least(1)),
-    "samples": ("samples", _at_least(0)),
+    "jobs": (None, _count(1)),
+    "samples": ("samples", _count(0, _MAX_SAMPLES)),
     "set_file": ("set_file", str),
     "family": ("family", _family),
     "grid": ("grids", _parse_grid),

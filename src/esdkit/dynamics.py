@@ -359,17 +359,21 @@ def _bisect_deaths(cols: list[np.ndarray], channel: ChannelSpec, lo: np.ndarray,
     """Refine alive-to-dead brackets ``[lo, hi]``, one per entry of ``cols``.
 
     Each is halved until its width is at most ``xtol`` or its midpoint
-    ``0.5 * (lo + hi)`` equals an end, and reports that midpoint.  A round
-    forms the midpoints of the next ``depth <= 6`` levels of each open
-    bracket's halving tree the same way, probes them in one :func:`_alive`
-    call of at most ``_PROBE_POINTS`` times, and walks each row down to the
-    last level or to the first node that stops: the midpoints, stops and
-    bits of one halving per probe.
+    ``0.5 * (lo + hi)`` equals an end, and reports that midpoint; where the
+    sum overflows, the midpoint is ``0.5 * lo + 0.5 * hi`` (only there, as
+    that rounds subnormal ends differently).  A round forms the midpoints
+    of the next ``depth <= 6`` levels of each open bracket's halving tree,
+    an overflowing one stopping its node until the next round, probes them
+    in one :func:`_alive` call of at most ``_PROBE_POINTS`` times, and
+    walks each row down to the last level or to the first node that stops:
+    the midpoints, stops and bits of one halving per probe.
     """
     t_star = np.empty(lo.size)
     open_ = np.arange(lo.size)
     while True:
-        mid = 0.5 * (lo + hi)
+        total = lo + hi
+        mid = 0.5 * total if total.max(initial=0.0) < math.inf else np.where(
+            np.isfinite(total), 0.5 * total, 0.5 * lo + 0.5 * hi)
         keep = (hi - lo > xtol) & (lo < mid) & (mid < hi)
         t_star[open_[~keep]] = mid[~keep]
         open_, lo, hi, mid = open_[keep], lo[keep], hi[keep], mid[keep]

@@ -134,8 +134,8 @@ def x_entangled(x: XState, tol: ToleranceConfig = DEFAULT_TOL) -> XVerdict:
     Raises :class:`~esdkit.errors.NotPositiveError` when both margins exceed
     the band, which no valid state can do.
     """
-    w_margin = abs(x.w) ** 2 - x.b * x.c
-    z_margin = abs(x.z) ** 2 - x.a * x.d
+    hw, hz = abs(x.w), abs(x.z)  # squared as h * h, the bits of make_x's bounds
+    w_margin, z_margin = hw * hw - x.b * x.c, hz * hz - x.a * x.d
     w_active = w_margin > tol.eps_ent
     z_active = z_margin > tol.eps_ent
     # valid states cannot violate both bounds at once

@@ -181,9 +181,9 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
 
 def _averaged(stack: np.ndarray) -> tuple:
-    """Each member's finite flag, asymmetry ``|m - m^dag|``, average and its
-    trace, the real diagonal summed left to right as :func:`make_x` sums."""
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    """Each member's asymmetry ``|m - m^dag|``, average and its trace, the
+    real diagonal summed left to right as :func:`make_x` sums.  A non-finite
+    entry makes its member's asymmetry NaN or inf."""
     # non-finite members and finite ones whose differences or trace overflow
     # fail the checks; halving first keeps a Hermitian pair near 1e308 finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +191,7 @@ def _averaged(stack: np.ndarray) -> tuple:
         asym = np.abs(stack - adjoint).max(axis=(1, 2))
         hermitian = 0.5 * stack + 0.5 * adjoint
         diag = hermitian.diagonal(axis1=1, axis2=2).real
-        return finite, asym, hermitian, diag[:, 0] + diag[:, 1] + diag[:, 2] + diag[:, 3]
+        return asym, hermitian, diag[:, 0] + diag[:, 1] + diag[:, 2] + diag[:, 3]
 
 
 def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = False) -> tuple:
@@ -203,9 +203,9 @@ def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = Fa
     Returns ``(hermitian, lowest, i, kind, value)``: the averages and lowest
     eigenvalues up to the first failure ``i`` (``len(stack)`` if none), its
     fault and the asymmetry, trace or eigenvalue it failed on (else ``None``)."""
-    finite, asym, hermitian, trace = _averaged(stack)
+    asym, hermitian, trace = _averaged(stack)
     # a NaN asymmetry or trace compares False, so it fails
-    cheap_bad = ~finite | ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
+    cheap_bad = ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
     # only members before the first to fail a cheaper check need eigenvalues
     k = int(cheap_bad.argmax()) if cheap_bad.any() else len(stack)
     if normalize:  # numpy's trace sums pairwise; RK4's reference outputs pin its bits
@@ -214,7 +214,7 @@ def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = Fa
     negative = lowest < -tol.eps_psd
     i = int(negative.argmax()) if negative.any() else k
     kind, values = ((None, None) if i == len(stack) else ("psd", lowest) if i < k
-                    else ("finite", None) if not finite[i]
+                    else ("finite", None) if not np.isfinite(stack[i]).all()
                     else ("asym", asym) if not asym[i] <= tol.eps_psd else ("trace", trace))
     return hermitian, lowest, i, kind, None if values is None else float(values[i])
 
@@ -249,8 +249,8 @@ def _density_stack(
 
 def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
     """Check a matrix's entries and asymmetry, not its spectrum; return its Hermitian average."""
-    (finite,), (asym,), (hermitian,), _ = _averaged(matrix[None])
-    kind = "finite" if not finite else "asym" if not asym <= tol.eps_psd else None
+    (asym,), (hermitian,), _ = _averaged(matrix[None])
+    kind = None if asym <= tol.eps_psd else "asym" if np.isfinite(matrix).all() else "finite"
     _raise_fault(kind, float(asym), tol, what)
     return hermitian
 

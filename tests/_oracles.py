@@ -154,18 +154,23 @@ def _x_negativity_at(x0, channel, times):
     return _pt_blocks(x_closed_curves(x0, channel, times))[0]
 
 
+def _midpoint(lo, hi):
+    """``0.5 * (lo + hi)``, halving each end first only where the sum overflows."""
+    return 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.5 * lo + 0.5 * hi
+
+
 def _bisect_threshold(margin, lo, hi, xtol):
     """Locate a sign change of ``margin`` inside [lo, hi] to width ``xtol``."""
     sign_lo = margin(lo) > 0.0
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:
             break  # adjacent floats: halving cannot shrink the bracket
         if (margin(mid) > 0.0) == sign_lo:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
 
 
 def death_time_scalar(x0, channel, horizon, tol):

@@ -39,7 +39,7 @@ from esdkit import (
     thermal_product,
     x_closed_curves,
 )
-from esdkit.channels import _revalidate, _step_plan
+from esdkit.channels import _jump_terms, _revalidate, _step_plan
 from esdkit.errors import (
     OutOfRangeError,
     ParseError,
@@ -157,6 +157,7 @@ KRON_CASES = [
     (IndependentDephasing(0.0, 1.1), dephase_jumps(0.0, 1.1)),
     (CollectiveDephasing(0.9), collective_jumps(0.9)),
     (CustomChannel(tuple(_random_custom_jumps(5))), _random_custom_jumps(5)),
+    (IndependentDephasing(2.5e-3, 0.0), dephase_jumps(2.5e-3, 0.0)),
 ]
 
 
@@ -183,6 +184,25 @@ def test_jump_operators_are_shared_read_only():
         IndependentDecay(3.0, 0.5, nbar=1.0))[0][0]
     assert jump_operators(CollectiveDephasing(1.0))[0][0] is jump_operators(
         CollectiveDephasing(2.0))[0][0]
+
+
+def test_dissipators_are_built_once_and_read_only():
+    for channel, _ in KRON_CASES:
+        for op, dissipator, _ in _jump_terms(channel):
+            assert not dissipator.flags.writeable
+            with pytest.raises(ValueError):
+                dissipator[0, 0] = 1.0
+        assert liouvillian(channel).flags.writeable  # each call sums into a fresh matrix
+    # catalog channels share the dissipators built at import
+    assert _jump_terms(IndependentDecay(1.0, 2.0))[1][1] is _jump_terms(
+        IndependentDecay(3.0, 0.5, nbar=1.0))[1][1]
+    assert _jump_terms(CollectiveDephasing(1.0))[0][1] is _jump_terms(
+        CollectiveDephasing(2.0))[0][1]
+    # a custom channel builds its own once, with the bits of the catalog's
+    for channel, _ in KRON_CASES:
+        custom = CustomChannel(tuple(jump_operators(channel)))
+        assert _jump_terms(custom)[0][1] is _jump_terms(custom)[0][1]
+        assert np.array_equal(liouvillian(custom), liouvillian(channel))
 
 
 def test_liouvillian_consistent_with_generator():
@@ -303,6 +323,12 @@ def test_propagate_numeric_overflow_fails_validation():
     for t in (1000.0, 4000.0):
         with pytest.raises(StepTooLargeError):
             propagate_numeric(rho, IndependentDecay(1.0, 1.0), t, dt=4.0)
+    # a jump operator too large for its dissipator builds without a numpy
+    # warning (pytest raises one), and propagation reports the overflow
+    huge = CustomChannel(((np.full((4, 4), 1e200, dtype=complex), 1.0),))
+    assert not np.isfinite(liouvillian(huge)).all()
+    with pytest.raises(StepTooLargeError, match="^integration overflowed to non-finite"):
+        propagate_numeric(rho, huge, 1.0)
 
 
 # a dense state off the X pattern; its X part still has closed-form curves

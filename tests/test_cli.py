@@ -20,7 +20,7 @@ from esdkit import (
 from esdkit.errors import ValidationError
 
 from _cli import cli_env
-from _oracles import x_rule_scalar
+from _oracles import death_time_scalar, x_rule_scalar
 
 PURE_07 = "x:0.7,0,0,0.3,0.45825756949558405,0,0,0"
 
@@ -190,6 +190,34 @@ def test_classify_negative_seed_exits_2(capsys):
         assert cli.main(["classify", *args, "--seed", "-3"]) == 2, args
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: invalid --seed: must be >= 0, got -3\n")
+
+
+def test_classify_refuses_more_than_a_million_samples(tmp_path, capsys):
+    # each member costs about 1 KB of memory, so such a count ran until killed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": 10 ** 20}))
+    for args in (("--samples", "1000001"), ("--samples", str(10 ** 20)), ("--config", str(config))):
+        assert cli.main(["classify", "--channel", "collective:1", *args]) == 2, args
+        captured = capsys.readouterr()
+        count = args[1] if args[0] == "--samples" else str(10 ** 20)
+        assert (captured.out, captured.err) == (
+            "", f"error: invalid --samples: must be <= 1000000, got {count}\n")
+    assert cli._read("samples", 1_000_000) == 1_000_000
+
+
+def test_death_bracket_at_the_largest_floats_bisects_to_a_finite_time(capsys):
+    # the ladder brackets this death in [6.7e307, 1.3e308], whose ends sum past
+    # the largest float; the midpoint then halves each end before adding
+    state, horizon = "x:0.4,0.1,0.1,0.4,0.3,0,0,0", 1e300
+    channel = parse_channel_literal("dephase:7e-309,7e-309")
+    argv = ["death-time", "--channel", "dephase:7e-309,7e-309", "--horizon", repr(horizon),
+            "--state", state]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    want = death_time_scalar(parse_state_literal(state), channel, horizon, DEFAULT_TOL)
+    assert report["verdict"] == want.verdict == "finite"
+    assert 6.7e307 < report["t_star"] == want.t_star < 1.3e308
+    assert death_time(parse_state_literal(state), channel, horizon) == want
 
 
 def test_classify_requires_exactly_one_source(tmp_path):

@@ -151,6 +151,21 @@ def test_x_entangled_examples():
     assert not v.entangled and v.active_block is None
 
 
+def test_x_margins_square_the_magnitude_as_make_x_does():
+    # make_x bounds |w|^2 as h * h with h = hypot(re, im); abs(w) ** 2 goes
+    # through libm's pow, which rounds about one h in 2,000 an ulp away
+    rng = np.random.default_rng(23)
+    differ = 0
+    for re_, im in rng.uniform(-0.35, 0.35, size=(4000, 2)):
+        v = complex(re_, im)
+        h = float(np.hypot(v.real, v.imag))
+        assert h == abs(v)
+        differ += abs(v) ** 2 != h * h
+        assert x_entangled(make_x(0.5, 0.0, 0.0, 0.5, w=v)).w_margin == h * h
+        assert x_entangled(make_x(0.0, 0.5, 0.5, 0.0, z=v)).z_margin == h * h
+    assert differ > 0
+
+
 def test_x_criterion_agrees_with_ppt_on_random_states():
     for seed in range(2000):
         x = random_x(seed)

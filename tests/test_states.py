@@ -1,5 +1,6 @@
 """Construction, validation and serialization of two-qubit states."""
 
+import itertools
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from esdkit import (
     XState,
     bell,
     bell_mixture,
+    eigenvalues_hermitian,
     embed_x,
     expectation,
     format_state_literal,
@@ -45,6 +47,38 @@ from esdkit.states import _checked_x, _literal_stack, _x_stack
 
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def _faulty_members() -> dict:
+    """One member per fault of the stack check: its matrix, error and message."""
+    nan, inf_imag, asym = (np.eye(4, dtype=complex) / 4.0 for _ in range(3))
+    nan[1, 2] = np.nan
+    inf_imag[2, 2] = complex(0.25, np.inf)  # its average and trace stay finite
+    asym[0, 1] = 1e-3
+    return {
+        "nan": (nan, OutOfRangeError, "density matrix has non-finite entries"),
+        "inf-imag": (inf_imag, OutOfRangeError, "density matrix has non-finite entries"),
+        "asym": (asym, NotHermitianError,
+                 "density matrix deviates from Hermiticity by 1.000e-03 (> 1.0e-09)"),
+        "trace": (np.eye(4, dtype=complex) / 2.0, TraceNotOneError,
+                  "trace deviates from 1 by 1.000e+00 (> 1.0e-09)"),
+        "psd": (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), NotPositiveError,
+                "minimum eigenvalue -5.000e-01 below -1.0e-09"),
+    }
+
+
+def test_first_of_several_bad_members_is_named_with_its_fault():
+    # the finiteness test runs only on the first member that fails a cheaper
+    # check; in any order, that member and its fault are the ones named
+    members = _faulty_members()
+    valid = [np.eye(4, dtype=complex) / 4.0] * 2
+    for order in itertools.permutations(members):
+        stack = np.stack(valid + [members[name][0] for name in order])
+        _, error, message = members[order[0]]
+        with pytest.raises(error, match=f"^member 3: {re.escape(message)}$"):
+            states._density_stack(stack, DEFAULT_TOL, first=0)
+    with pytest.raises(OutOfRangeError, match="^matrix has non-finite entries$"):
+        eigenvalues_hermitian(members["inf-imag"][0])
 
 
 def test_tolerance_defaults():
