@@ -145,6 +145,8 @@ class IndependentDephasing:
     def __post_init__(self) -> None:
         _require_rates({"kappa_a": self.kappa_a, "kappa_b": self.kappa_b},
                        {"kappa_a+kappa_b": self.kappa_a + self.kappa_b})
+        if max(self.kappa_a, self.kappa_b) / 2.0 == 0.0:  # the jump rates, 5e-324 / 2 = 0
+            raise OutOfRangeError("at least one jump rate kappa/2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,7 @@ class CustomChannel:
             raise ValidationError("custom channel needs at least one jump operator")
         normalized = []
         top = 0.0
+        total = np.zeros((16, 16), dtype=complex)  # the generator, summed as liouvillian does
         for idx, (op, rate) in enumerate(self.jumps):
             m = np.asarray(op, dtype=complex)
             if m.shape != (4, 4):
@@ -184,6 +187,10 @@ class CustomChannel:
                 )
             top = max(top, rate)
             normalized.append((*_paired(m), rate))
+            with np.errstate(over="ignore", invalid="ignore"):  # a zero rate drops its jump
+                total += rate * normalized[-1][1] if rate > 0.0 else 0.0
+            if not np.isfinite(total).all():
+                raise OutOfRangeError(f"jump operator {idx + 1} makes the generator overflow")
         if top <= 0.0:
             raise OutOfRangeError("at least one jump rate must be positive")
         object.__setattr__(self, "jumps", tuple((op, rate) for op, _, rate in normalized))
@@ -258,22 +265,9 @@ def max_rate(channel: ChannelSpec) -> float:
 
 
 def generator(channel: ChannelSpec, rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Apply the Lindblad generator to a state; returns d rho / dt."""
+    """d rho / dt under the Lindblad generator: :func:`liouvillian` applied to ``vec(rho)``."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for op, rate in jump_operators(channel):
-        anti = op.conj().T @ op
-        out += rate * (op @ m @ op.conj().T - 0.5 * (anti @ m + m @ anti))
-    return out
-
-
-def _lindblad(channel: ChannelSpec) -> tuple[np.ndarray, float]:
-    """:func:`liouvillian` and :func:`max_rate` from one walk of the jump list."""
-    terms = _jump_terms(channel)
-    out = np.zeros((16, 16), dtype=complex)
-    for _, d, rate in terms:
-        out += rate * d
-    return out, max(rate for *_, rate in terms)
+    return (liouvillian(channel) @ m.reshape(16)).reshape(4, 4)
 
 
 def liouvillian(channel: ChannelSpec) -> np.ndarray:
@@ -282,8 +276,16 @@ def liouvillian(channel: ChannelSpec) -> np.ndarray:
     Uses ``vec(A X B) = (A kron B^T) vec(X)``, so each jump contributes
     ``rate D(L)``, with its dissipator ``D(L)`` (see :func:`_paired`) built once
     per operator: the catalog's at import, a custom channel's at construction.
+    A catalog channel whose sum overflows raises :class:`UnsupportedChannelError`.
     """
-    return _lindblad(channel)[0]
+    out = np.zeros((16, 16), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, d, rate in _jump_terms(channel):
+            out += rate * d
+    if not np.isfinite(out).all():
+        raise UnsupportedChannelError(f"the generator of {format_channel_literal(channel)} "
+                                      "overflows; only its closed forms apply")
+    return out
 
 
 def _step_plan(t: float, dt: float) -> tuple[int, float]:
@@ -394,9 +396,9 @@ def propagate_numeric(
         raise ValidationError(f"propagation time t={t!r} must be nonnegative")
     if t == 0.0:
         return rho0
-    lv, top = _lindblad(channel)
+    lv = liouvillian(channel)
     if dt is None:
-        dt = 1e-3 / top
+        dt = 1e-3 / max_rate(channel)
     if not 0.0 < dt <= t:
         raise ValidationError(f"step dt={dt!r} must satisfy 0 < dt <= t={t!r}")
     n_steps, h_last = _step_plan(t, dt)

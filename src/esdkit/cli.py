@@ -263,9 +263,7 @@ def cmd_death_time(config: RunConfig) -> int:
     if not is_catalog(channel):
         raise ParseError("invalid --channel: death-time requires a catalog channel")
     x0 = _require_x(_require(config.state, "state"), "state")
-    horizon = config.horizon
-    if horizon is None:
-        horizon = 50.0 / max_rate(channel)
+    horizon = config.horizon or 50.0 / max_rate(channel)
     report = death_time(x0, channel, horizon, tol=config.tol)
     _emit(death_report_to_json(report), config.out)
     return 0

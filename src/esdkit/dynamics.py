@@ -51,7 +51,7 @@ from .channels import (
     ChannelSpec,
     CollectiveDephasing,
     IndependentDecay,
-    IndependentDephasing,
+    SinglePoint,
     asymptotic_set,
     is_catalog,
     liouvillian,
@@ -276,9 +276,8 @@ def simulate(
         populations = curves[:4]
         neg, outer_pt, inner_pt = _pt_blocks(curves)
         min_pt = np.minimum(outer_pt, inner_pt)
-        a, b, c, d, w, z = curves  # the blocks of the state itself hold w and z
-        min_eig = np.minimum(0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(w)),
-                             0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(z)))
+        # the state's own blocks are its partial transpose's with w and z swapped back
+        min_eig = np.minimum(*_pt_blocks((*curves[:4], curves[5], curves[4]))[1:])
     else:
         if x0 is not None and not isinstance(state0, DensityMatrix):
             state0 = embed_x(x0)
@@ -331,11 +330,9 @@ def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool):
         if inner:
             return -(pa * (1.0 - pb)) * ((1.0 - pa) * pb)
         return -(pa * pb) * ((1.0 - pa) * (1.0 - pb))
-    if isinstance(channel, IndependentDephasing):
-        # populations are constant and both coherences decay
-        return -(b * c) if inner else -(a * d)
-    # collective dephasing: w decays, z and the populations are invariant
-    return -(b * c) if inner else z2 - a * d
+    # dephasing: frozen populations, w always damped, z damped unless the dephasing is collective
+    z_kept = isinstance(channel, CollectiveDephasing)
+    return -(b * c) if inner else (z2 - a * d if z_kept else -(a * d))
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -527,20 +524,19 @@ def estimate_asymptote(
     """The long-time limit of ``state0``: its exact projection onto
     :func:`~esdkit.channels.asymptotic_set`, with no propagation.
 
-    Decay sends every state to the thermal product; independent dephasing
-    keeps the diagonal of ``rho0``; collective dephasing keeps the
-    diagonal and the 0-based ``[1, 2]`` and ``[2, 1]`` entries (the
-    decoherence-free coherence ``z``).  Every other entry decays to 0.  A
-    bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
+    A :class:`~esdkit.channels.SinglePoint` set (decay) is its state; an
+    :class:`~esdkit.channels.XFamily` keeps the diagonal of ``rho0`` and each
+    coherence, ``w`` at 0-based ``[0, 3]`` and ``z`` at ``[1, 2]``, that it does
+    not force to zero (collective dephasing keeps ``z``).  Every other entry
+    decays to 0.  A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
     """
-    if not is_catalog(channel):
-        raise UnsupportedChannelError("estimate_asymptote requires a catalog channel")
-    target = asymptotic_set(channel)
+    target = asymptotic_set(channel)  # refuses a custom channel
     x0 = _x_form(state0, tol)
-    if isinstance(channel, IndependentDecay):  # a single point, the thermal product
+    if isinstance(target, SinglePoint):
         return target.state
     m = (embed_x(x0) if isinstance(state0, XState) else state0).matrix
     keep = np.eye(4, dtype=bool)
+    keep[0, 3] = keep[3, 0] = not target.w_zero
     keep[1, 2] = keep[2, 1] = not target.z_zero
     return _unchecked_density(np.where(keep, m, 0.0))
 
@@ -588,7 +584,7 @@ def parse_trajectory_csv(text: str) -> dict[str, np.ndarray | None]:
         elif has_pops != filled:
             raise ParseError(f"row {row_no} mixes X and non-X population cells")
         for name, cell in zip(names, cells):
-            if cell == "":
+            if cell == "" and name in ("a", "b", "c", "d"):  # a non-X row's populations
                 continue
             try:
                 value = float(cell)

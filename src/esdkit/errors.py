@@ -44,7 +44,7 @@ class ParseError(ValueError):
 
 
 class UnsupportedChannelError(ValueError):
-    """The operation is only defined for catalog channels."""
+    """The operation is not defined for this channel, or for its rates on the RK4 path."""
 
 
 class StepTooLargeError(RuntimeError):

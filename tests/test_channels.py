@@ -128,15 +128,10 @@ def test_max_rate_and_zero_rate_jumps_dropped():
 # --- generator and liouvillian ---------------------------------------------
 
 def test_generator_matches_oracle_superoperator():
-    cases = [
-        (IndependentDecay(0.7, 1.3, nbar=0.4), decay_jumps(0.7, 1.3, 0.4)),
-        (IndependentDephasing(0.5, 1.1), dephase_jumps(0.5, 1.1)),
-        (CollectiveDephasing(0.9), collective_jumps(0.9)),
-    ]
-    lmat_by_case = [lindblad_matrix(jumps) for _, jumps in cases]
+    lmat_by_case = [lindblad_matrix(jumps) for _, jumps in KRON_CASES]
     for seed in range(20):
         rho = random_density(seed)
-        for (channel, _), lmat in zip(cases, lmat_by_case):
+        for (channel, _), lmat in zip(KRON_CASES, lmat_by_case):
             direct = generator(channel, rho)
             via_oracle = (lmat @ rho.matrix.reshape(16)).reshape(4, 4)
             np.testing.assert_allclose(direct, via_oracle, atol=1e-14)
@@ -323,12 +318,35 @@ def test_propagate_numeric_overflow_fails_validation():
     for t in (1000.0, 4000.0):
         with pytest.raises(StepTooLargeError):
             propagate_numeric(rho, IndependentDecay(1.0, 1.0), t, dt=4.0)
-    # a jump operator too large for its dissipator builds without a numpy
-    # warning (pytest raises one), and propagation reports the overflow
-    huge = CustomChannel(((np.full((4, 4), 1e200, dtype=complex), 1.0),))
-    assert not np.isfinite(liouvillian(huge)).all()
-    with pytest.raises(StepTooLargeError, match="^integration overflowed to non-finite"):
-        propagate_numeric(rho, huge, 1.0)
+    # a jump operator too large for its dissipator is refused when the channel
+    # is built, naming the jump, with no numpy warning (pytest raises one):
+    # no step could integrate it
+    huge = (np.full((4, 4), 1e200, dtype=complex), 1.0)
+    with pytest.raises(OutOfRangeError, match="^jump operator 2 makes the generator overflow$"):
+        CustomChannel(((np.eye(4), 1.0), huge))
+    # so is a list whose dissipators are finite but whose rate-weighted sum is not
+    with pytest.raises(OutOfRangeError, match="^jump operator 2 makes the generator overflow$"):
+        CustomChannel(((np.diag([1.5, 0, 0, 0]), 1e308),) * 2)
+    # a zero-rate jump is dropped from the generator, so it cannot overflow it
+    assert len(jump_operators(CustomChannel(((np.eye(4), 1.0), (huge[0], 0.0))))) == 1
+
+
+def test_catalog_generator_overflow_is_refused_on_the_numeric_path_only():
+    # each derived rate is finite, but gamma_a (nbar + 1) + gamma_b (nbar + 1)
+    # on the generator's diagonal is not
+    channel = IndependentDecay(1e308, 1e308, 0.0)
+    message = ("^the generator of decay:1e\\+308,1e\\+308,0.0 overflows; "
+               "only its closed forms apply$")
+    dense = parse_state_literal(SMALL_STEP_STATE)  # not of X form: simulate steps it
+    for call in (lambda: liouvillian(channel), lambda: generator(channel, dense),
+                 lambda: propagate_numeric(dense, channel, 1e-300),
+                 lambda: simulate(dense, channel, 1e-300)):
+        with pytest.raises(UnsupportedChannelError, match=message):
+            call()
+    # the closed forms still apply at these rates
+    x0 = make_x(0.4, 0.1, 0.1, 0.4, 0.3, 0.0)
+    assert propagate_x_closed(x0, channel, 1e-309).a < 0.4
+    assert simulate(x0, channel, 1e-300).negativity[-1] == 0.0
 
 
 # a dense state off the X pattern; its X part still has closed-form curves

@@ -43,7 +43,7 @@ from esdkit import (
     trajectory_to_csv,
     werner,
 )
-from esdkit.channels import asymptotic_set, set_contains, x_closed_curves
+from esdkit.channels import SinglePoint, XFamily, asymptotic_set, set_contains, x_closed_curves
 from esdkit.dynamics import _death_reports, _pt_blocks
 from esdkit.errors import (
     NegativePopulationError,
@@ -108,6 +108,20 @@ def test_simulate_closed_diagnostics_match_dense_eigensolves():
         np.testing.assert_allclose(
             np.linalg.eigvalsh(rho.matrix)[0], traj.min_eig[i], atol=1e-12
         )
+    # min_eig is the lower eigenvalue of the state's own 2x2 blocks, bit for bit,
+    # on every catalog channel, frozen qubits and zero or signed-zero coherences too
+    channels = (IndependentDecay(1.0, 0.5, 0.4), IndependentDecay(0.0, 0.7, 0.0),
+                IndependentDecay(0.7, 0.0, 0.3), IndependentDephasing(0.4, 0.9),
+                IndependentDephasing(0.0, 0.9), CollectiveDephasing(0.6))
+    states = (random_x(6), make_x(0.4, 0.1, 0.1, 0.4, 0.3), make_x(0.3, 0.2, 0.2, 0.3, z=0.15j),
+              make_x(0.4, 0.1, 0.1, 0.4, -0.0, complex(-0.0, -0.0)), make_x(0.25, 0.25, 0.25, 0.25))
+    for channel in channels:
+        for x0 in states:
+            closed = simulate(x0, channel, horizon=3.0, sample_every=50)
+            a, b, c, d, w, z = x_closed_curves(x0, channel, closed.times)
+            want = np.minimum(0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(w)),
+                              0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(z)))
+            np.testing.assert_array_equal(closed.min_eig.view(np.uint64), want.view(np.uint64))
     # an RK4 trajectory's columns come from the same PT eigensolve, bit for bit
     dense = simulate(
         random_density(3), IndependentDecay(1.0, 0.5, 0.4), horizon=3.0, sample_every=200
@@ -647,6 +661,25 @@ def test_estimate_asymptote_numeric_path_for_dense_state():
     kept = np.zeros((4, 4), dtype=bool)
     kept[[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]] = True
     assert not limit.matrix[~kept].any()
+
+
+def test_estimate_asymptote_reads_only_its_set(monkeypatch):
+    # the set's own description decides the projection, not the channel's type
+    rho, channel = random_density(2), IndependentDecay(1.0, 1.0, 0.5)
+    m = rho.matrix
+    for w_zero in (False, True):
+        for z_zero in (False, True):
+            monkeypatch.setattr(esdkit.dynamics, "asymptotic_set",
+                                lambda _: XFamily(w_zero, z_zero))
+            want = np.diag(np.diag(m))
+            if not w_zero:
+                want[0, 3], want[3, 0] = m[0, 3], m[3, 0]
+            if not z_zero:
+                want[1, 2], want[2, 1] = m[1, 2], m[2, 1]
+            assert np.array_equal(estimate_asymptote(rho, channel).matrix, want)
+    point = SinglePoint(maximally_mixed())
+    monkeypatch.setattr(esdkit.dynamics, "asymptotic_set", lambda _: point)
+    assert estimate_asymptote(rho, CollectiveDephasing(1.0)) is point.state
 
 
 # each channel with its slowest relaxation rate
