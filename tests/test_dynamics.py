@@ -551,6 +551,50 @@ def test_death_reports_match_the_scalar_bisection_across_tree_levels(channel, mo
         assert band.verdict == VERDICT_PERSISTENT
 
 
+def deepest_tree(rows):
+    """The depth of the deepest halving tree, at most 6 levels, whose inner nodes
+    for ``rows`` open brackets fit the probe budget; 1 if none fits."""
+    budget = esdkit.dynamics._PROBE_POINTS
+    return max([1] + [d for d in range(1, 7) if rows * ((1 << d) - 1) <= budget])
+
+
+def tree_depth_edges():
+    """Row counts on each side of every depth boundary of the probe budget,
+    from 1 row to more rows than the budget has times."""
+    edges = [esdkit.dynamics._PROBE_POINTS // ((1 << d) - 1) for d in range(1, 7)]
+    return sorted({1, *edges, *(edge + 1 for edge in edges)})
+
+
+@pytest.mark.parametrize("count", tree_depth_edges())
+def test_death_reports_match_the_scalar_bisection_at_every_tree_depth(count, monkeypatch):
+    alive = esdkit.dynamics._alive
+
+    def recording(cols, rows, channel, times, eps_death):
+        probes.append((np.shape(times)[0], len(rows)))
+        roots.extend(zip(rows.tolist(), np.broadcast_to(times[0], rows.shape).tolist()))
+        return alive(cols, rows, channel, times, eps_death)
+
+    probes, roots = [], []
+    monkeypatch.setattr(esdkit.dynamics, "_alive", recording)
+    budget = esdkit.dynamics._PROBE_POINTS
+    channel = IndependentDecay(1.0, 1.0, 0.0)
+    # the first row dies near 1e-7, the others between 0.1 and 4
+    rows = [pure_family(1.0 - 1e-14)] + [pure_family(a) for a in np.linspace(0.51, 0.99, count - 1)]
+    # every row dies before 50, so each probe is one of the bisection: the first
+    # takes every row, and each takes the deepest tree that fits the budget
+    assert_matches_scalar_scan(rows, channel, 50.0)
+    assert probes[0] == ((1 << deepest_tree(count)) - 1, count)
+    assert all(times == (1 << deepest_tree(n)) - 1 for times, n in probes), probes
+    # past 1e-6 a doubling ladder brackets all rows but the first, in brackets of
+    # several widths, so the first row stops alone and the others in later rounds
+    probes.clear()
+    roots.clear()
+    assert_matches_scalar_scan(rows, channel, 1e-6)
+    assert all(times * n <= max(budget, n) for times, n in probes), probes
+    # a stopped row is probed no more: every probe moves each row's first time
+    assert len(set(roots)) == len(roots)
+
+
 def test_death_time_decides_several_halvings_per_probe(monkeypatch):
     # halving [0, 10] to 1e-9 takes 34 levels, and a bracket past a short
     # horizon first takes a few doublings; one level per probe would take
