@@ -264,6 +264,16 @@ def max_rate(channel: ChannelSpec) -> float:
     return max(rate for *_, rate in _jump_terms(channel))
 
 
+def _time_scale(channel: ChannelSpec, units: float, name: str) -> float:
+    """``units / max_rate(channel)``, the default of ``name``, or OutOfRangeError on overflow."""
+    rate = float(max_rate(channel))
+    scale = units / rate
+    if math.isinf(scale):
+        raise OutOfRangeError(f"the default {name} = {units!r} / {rate!r} (the largest jump rate) "
+                              f"overflows; pass {name}")
+    return scale
+
+
 def generator(channel: ChannelSpec, rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """d rho / dt under the Lindblad generator: :func:`liouvillian` applied to ``vec(rho)``."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
@@ -386,7 +396,7 @@ def propagate_numeric(
     powers the one-step matrix ``P(dt)`` as deltas from ``I`` in
     O(log(t / dt)) matrix products, so the result matches stepping up to
     roundoff at every ``dt``, even where ``I + dt L`` rounds to ``I``; a
-    ``t / dt`` that overflows raises :class:`ValidationError`.
+    default ``dt`` or a ``t / dt`` that overflows raises :class:`ValidationError`.
     Output is re-validated: a non-finite result, or one off Hermiticity or
     positivity by more than ``eps_psd`` or off unit trace by more than
     ``eps_trace``, raises :class:`StepTooLargeError`; the trace is then
@@ -398,7 +408,7 @@ def propagate_numeric(
         return rho0
     lv = liouvillian(channel)
     if dt is None:
-        dt = 1e-3 / max_rate(channel)
+        dt = _time_scale(channel, 1e-3, "dt")
     if not 0.0 < dt <= t:
         raise ValidationError(f"step dt={dt!r} must satisfy 0 < dt <= t={t!r}")
     n_steps, h_last = _step_plan(t, dt)

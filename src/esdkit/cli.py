@@ -2,16 +2,16 @@
 
 Subcommands ``evolve``, ``death-time``, ``classify`` and ``sweep`` parse
 state/channel literals, run the corresponding library operations and emit
-CSV or JSON to stdout or ``--out``.  The parser is built once per process.
-Values resolve as flags over config-file entries over built-in defaults,
-and both go through one conversion: a config entry is read as its flag's
-text would be, so a value of the wrong type (``"seed": 1.5``, ``"horizon":
-[1]``) exits 2 like the same bad flag.  ``--config``, ``--set-file`` and
-``custom:`` files share one JSON reader.  Outputs are byte-identical for
-identical configs and seeds.  ``sweep`` validates and decides its whole
-grid as columns; ``--jobs`` is validated but has no effect, and ``--dt``,
-``evolve``'s step, is validated and ignored elsewhere.  Exit codes: 0 ok,
-2 usage or parse error (including non-finite numbers), 3 runtime error.
+CSV or JSON to stdout or ``--out``.  The parser is built once per process
+from one table of flags, and every subcommand takes every flag: each value
+is validated, then ignored where it is not used.  ``--flag value`` and
+``--flag=value`` are the same, even for a value that starts with ``-``,
+and a config entry is read as its flag's text (``"seed": 1.5`` exits 2
+like ``--seed 1.5``); flags override config entries, which override
+defaults.  ``--config``, ``--set-file`` and ``custom:`` files share one
+JSON reader.  Identical inputs give byte-identical outputs.  Exit codes:
+0 ok, 2 usage or parse error (including non-finite numbers and an
+overflowing default time scale), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import (
-    ChannelSpec, _read_json, is_catalog, max_rate, parse_channel_literal,
+    ChannelSpec, _read_json, _time_scale, is_catalog, parse_channel_literal,
 )
 from .classify import classify_channel, classify_set, scenario_to_json
 from .dynamics import (
@@ -72,43 +72,6 @@ class RunConfig:
     set_file: str | None = None
     family: str = "x"
     grids: list[tuple[str, float, float, int]] = field(default_factory=list)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="esdkit",
-        description="Simulate two-qubit noise channels and classify "
-                    "entanglement sudden death.",
-    )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--channel", help="channel literal (decay:/dephase:/collective:/custom:)")
-    shared.add_argument("--state", help="state literal (x: or dense:)")
-    shared.add_argument("--horizon", help="observation time span")
-    shared.add_argument("--dt", help="evolve's step; other subcommands ignore it")
-    shared.add_argument("--seed", help="seed for sampled classification members")
-    shared.add_argument("--eps-death", help="negativity death threshold")
-    shared.add_argument("--out", help="output path (default: stdout)")
-    shared.add_argument("--config", help="JSON file with defaults for any flag")
-    shared.add_argument("--jobs", help="accepted for compatibility; has no effect")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("evolve", help="sample a trajectory and write its CSV", parents=[shared])
-    sub.add_parser("death-time", help="scan for loss of entanglement and write a JSON report",
-                   parents=[shared])
-    classify = sub.add_parser(
-        "classify", help="label a channel's asymptotic set and write JSON evidence",
-        parents=[shared],
-    )
-    classify.add_argument("--set-file", help="JSON file with explicit member states")
-    classify.add_argument("--samples", help="random members per sampled family "
-                                            f"(default 100, at most {_MAX_SAMPLES:,})")
-    sweep = sub.add_parser("sweep", help="evaluate death-time over a parameter grid and write CSV",
-                           parents=[shared])
-    sweep.add_argument("--grid", action="append",
-                       help="parameter grid, param=start:stop:n (repeatable)")
-    sweep.add_argument("--family", choices=("x", "pure"),
-                       help="swept family: overrides of --state (x) or "
-                            "pure superpositions of |ee> and |gg> (pure)")
-    return parser
 
 
 def _parse_grid(text: str) -> tuple[str, float, float, int]:
@@ -161,22 +124,28 @@ def _family(text: str) -> str:
     return text
 
 
-# Each flag's RunConfig field and how its text is read; --jobs is only
-# validated.  The keys are also the accepted config-file keys.
+# Each flag's RunConfig field (None: validated only), how its text is read,
+# and its help.  The keys but "config" are also the accepted config-file keys.
 _FIELDS = {
-    "channel": ("channel", parse_channel_literal),
-    "state": ("state", parse_state_literal),
-    "horizon": ("horizon", _positive),
-    "dt": ("dt", _positive),
-    "seed": ("seed", _count(0)),
-    "eps_death": ("tol", lambda text: ToleranceConfig(eps_death=float(text))),
-    "out": ("out", str),
-    "jobs": (None, _count(1)),
-    "samples": ("samples", _count(0, _MAX_SAMPLES)),
-    "set_file": ("set_file", str),
-    "family": ("family", _family),
-    "grid": ("grids", _parse_grid),
+    "channel": ("channel", parse_channel_literal,
+                "channel literal (decay:/dephase:/collective:/custom:)"),
+    "state": ("state", parse_state_literal, "state literal (x: or dense:)"),
+    "horizon": ("horizon", _positive, "observation time span"),
+    "dt": ("dt", _positive, "evolve's step; other subcommands ignore it"),
+    "seed": ("seed", _count(0), "seed for sampled classification members"),
+    "eps_death": ("tol", lambda text: ToleranceConfig(eps_death=float(text)),
+                  "negativity death threshold"),
+    "out": ("out", str, "output path (default: stdout)"),
+    "config": (None, str, "JSON file with defaults for any flag"),
+    "jobs": (None, _count(1), "accepted for compatibility; has no effect"),
+    "samples": ("samples", _count(0, _MAX_SAMPLES), "random members per sampled family "
+                f"(default 100, at most {_MAX_SAMPLES:,})"),
+    "set_file": ("set_file", str, "JSON file with explicit member states"),
+    "family": ("family", _family, "swept family: overrides of --state (x) or "
+               "pure superpositions of |ee> and |gg> (pure)"),
+    "grid": ("grids", _parse_grid, "parameter grid, param=start:stop:n (repeatable)"),
 }
+_FLAGS = {f"--{name.replace('_', '-')}": name for name in _FIELDS}
 
 
 def _read(name: str, value):
@@ -199,7 +168,7 @@ def _load_config_file(path: str) -> dict:
     values = {}
     for key, value in _read_json(path, "--config").items():
         name = key.replace("-", "_")
-        if name not in _FIELDS:
+        if name not in _FIELDS or name == "config":
             raise ParseError(f"--config {path!r} has unknown key {key!r}")
         if value is not None:
             values[name] = value
@@ -246,6 +215,13 @@ def _require_x(state, name: str) -> XState:
         raise ParseError(f"invalid --{name}: {exc} (an X state is required)") from None
 
 
+def _horizon(config: RunConfig, channel: ChannelSpec) -> float:
+    try:
+        return config.horizon or _time_scale(channel, 50.0, "horizon")
+    except OutOfRangeError as exc:
+        raise ParseError(f"invalid --horizon: {exc}") from None
+
+
 def cmd_evolve(config: RunConfig) -> int:
     channel = _require(config.channel, "channel")
     state = _require(config.state, "state")
@@ -263,7 +239,7 @@ def cmd_death_time(config: RunConfig) -> int:
     if not is_catalog(channel):
         raise ParseError("invalid --channel: death-time requires a catalog channel")
     x0 = _require_x(_require(config.state, "state"), "state")
-    horizon = config.horizon or 50.0 / max_rate(channel)
+    horizon = _horizon(config, channel)
     report = death_time(x0, channel, horizon, tol=config.tol)
     _emit(death_report_to_json(report), config.out)
     return 0
@@ -307,7 +283,7 @@ def cmd_sweep(config: RunConfig) -> int:
     names = [grid[0] for grid in config.grids]
     if len(set(names)) != len(names):
         raise ParseError("sweep grids repeat a parameter name")
-    horizon = config.horizon or 50.0 / max_rate(channel)
+    horizon = _horizon(config, channel)
     if config.family == "pure":
         if names != ["a"]:
             raise ParseError("pure family sweeps accept exactly one grid over a")
@@ -350,20 +326,43 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 _HANDLERS = {
-    "evolve": cmd_evolve,
-    "death-time": cmd_death_time,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
+    "evolve": (cmd_evolve, "sample a trajectory and write its CSV"),
+    "death-time": (cmd_death_time, "scan for loss of entanglement and write a JSON report"),
+    "classify": (cmd_classify, "label a channel's asymptotic set and write JSON evidence"),
+    "sweep": (cmd_sweep, "evaluate death-time over a parameter grid and write CSV"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="esdkit",
+        description="Simulate two-qubit noise channels and classify "
+                    "entanglement sudden death.",
+    )
+    flags = argparse.ArgumentParser(add_help=False)  # each subcommand takes all of them
+    for flag, name in _FLAGS.items():
+        flags.add_argument(flag, help=_FIELDS[name][2],
+                           action="append" if name == "grid" else "store")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text) in _HANDLERS.items():
+        sub.add_parser(command, help=text, parents=[flags])
+    return parser
 
 
 _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        # a flag and its value as one --flag=value, even for a value that starts with "-"
+        if words and words[-1] in _FLAGS and not word.startswith("--"):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = _PARSER.parse_args(words)
     try:
-        return _HANDLERS[args.command](_build_config(args))
+        return _HANDLERS[args.command][0](_build_config(args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,6 +60,7 @@ from .channels import (
     _revalidate,
     _rk4_samples,
     _step_plan,
+    _time_scale,
 )
 from .entanglement import _pt_diagnostics
 from .errors import (
@@ -240,10 +241,10 @@ def simulate(
     Uses the exact closed form when the initial state is X (or projects to
     X) and the channel is in the catalog; otherwise integrates numerically
     with fixed-step RK4.  ``dt`` defaults to ``1e-3 / max_rate(channel)``
-    and ``sample_every`` is chosen to retain about ``DEFAULT_SAMPLES``
-    samples.  The final sample lands on ``horizon`` exactly, after one
-    shorter last step when ``horizon`` is not a multiple of ``dt`` (a
-    ``horizon / dt`` that overflows raises :class:`ValidationError`).  RK4
+    and ``sample_every`` to about ``DEFAULT_SAMPLES`` retained samples.
+    The final sample lands on ``horizon`` exactly, after one shorter last
+    step when ``horizon`` is not a multiple of ``dt`` (a default ``dt`` or
+    a ``horizon / dt`` that overflows raises :class:`ValidationError`).  RK4
     runs as powers of its one-step matrix ``P(dt)``, kept as deltas from
     ``I``: blocks of the hop powers ``H^1..H^B``, ``H = P(dt)^sample_every``
     and ``B`` about the root of the sample count, advance ``B`` samples per
@@ -254,7 +255,7 @@ def simulate(
     """
     _require_positive("horizon", horizon)
     if dt is None:
-        dt = 1e-3 / max_rate(channel)
+        dt = _time_scale(channel, 1e-3, "dt")
     _require_positive("dt", dt)
     x0 = _x_form(state0, tol)
 

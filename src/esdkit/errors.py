@@ -51,9 +51,5 @@ class StepTooLargeError(RuntimeError):
     """Integrator output failed re-validation; reduce the step size."""
 
 
-class NoConvergenceError(RuntimeError):
-    """No longer raised by esdkit; kept so that imports and ``except`` clauses work."""
-
-
 class EmptySetError(ValueError):
     """An asymptotic set with no members cannot be classified."""

@@ -428,6 +428,11 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"channel": "collective:1.0", "color": "red"}))
     assert run_cli("classify", "--config", str(unknown)).returncode == 2
+    # --config is a flag, not a config key
+    unknown.write_text(json.dumps({"channel": "collective:1.0", "config": str(bad)}))
+    assert cli.main(["classify", "--samples", "1", "--config", str(unknown)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --config {str(unknown)!r} has unknown key 'config'\n")
     # an entry is read as its flag's text would be, so a wrong type fails
     # as the same bad flag does instead of crashing or being truncated
     # (in process: a crash would raise out of main)
@@ -536,6 +541,69 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
     with_config = capsys.readouterr().out
     assert cli.main(["evolve", *CONTRACT_RUNS["evolve"]]) == 0
     assert capsys.readouterr().out == with_config
+
+
+# each flag's subcommand-free base runs, and one valid and one invalid value;
+# the invalid values start with "-" where the reader allows, as argparse once
+# read such a spaced value as a flag of its own
+ONE_PATH_BASE = {
+    "evolve": {"channel": "decay:1,1,0", "state": PURE_07, "horizon": "0.5"},
+    "death-time": {"channel": "decay:1,1,0", "state": PURE_07},
+    "classify": {"channel": "collective:1", "samples": "2"},
+    "sweep": {"channel": "decay:1,1,0", "family": "pure", "grid": "a=0.6:0.8:2"},
+}
+ONE_PATH_VALUES = {
+    "channel": ("collective:1", "-1"),
+    "state": ("x:0.3,0,0,0.7,0.45825756949558405,0,0,0", "-0.5"),
+    "horizon": ("0.25", "-inf"),
+    "dt": ("0.01", "-1e308"),
+    "seed": ("3", "-3"),
+    "eps_death": ("1e-3", "-1e-3"),
+    "out": ("{tmp}/out.txt", "{tmp}/missing/out.txt"),
+    "config": ("{tmp}/seed.json", "{tmp}/missing.json"),
+    "jobs": ("2", "-1"),
+    "samples": ("1", "-2"),
+    "set_file": ("{tmp}/set.json", "{tmp}/missing.json"),
+    "family": ("pure", "y"),
+    "grid": ("a=0.55:0.75:3", "-1"),
+}
+PATH_FLAGS = {"out", "config", "set_file"}  # read as text, refused only where opened
+
+
+def run_main(argv, capsys):
+    """``cli.main(argv)`` in process: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the argv
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+@pytest.mark.parametrize("name", sorted(ONE_PATH_VALUES))
+@pytest.mark.parametrize("command", sorted(ONE_PATH_BASE))
+def test_every_flag_reads_one_way_on_every_subcommand(command, name, valid, tmp_path, capsys):
+    assert set(ONE_PATH_VALUES) == set(cli._FIELDS)
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": 5}))
+    (tmp_path / "set.json").write_text(json.dumps({"states": [PURE_07, PURE_07]}))
+    value = ONE_PATH_VALUES[name][0 if valid else 1].format(tmp=tmp_path)
+    flag = f"--{name.replace('_', '-')}"
+    base = [command]
+    for key, text in ONE_PATH_BASE[command].items():
+        if key != name:
+            base += [f"--{key.replace('_', '-')}", text]
+    results = [run_main(base + [flag, value], capsys),
+               run_main(base + [f"{flag}={value}"], capsys)]
+    if name != "config":  # a config file cannot name another
+        config = tmp_path / "entry.json"
+        config.write_text(json.dumps({name: value}))
+        results.append(run_main(base + ["--config", str(config)], capsys))
+    assert results.count(results[0]) == len(results), results
+    code, out, err = results[0]
+    if not valid and name not in PATH_FLAGS:
+        assert (code, out) == (2, "") and err.startswith(f"error: invalid {flag}: "), results[0]
+        assert err.count("\n") == 1, err
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

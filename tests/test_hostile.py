@@ -2,18 +2,21 @@
 
 Valid inputs of each entry path are mutated one field at a time: ``--state``,
 ``--channel`` (``custom:`` files too), ``--set-file``, ``--config``, the
-numeric flags, and the readers ``death_report_from_json``,
-``scenario_from_json`` and ``parse_trajectory_csv``.  A number becomes NaN,
-+-inf, +-1e308, 5e-324 or -0.0; in a JSON document a value also becomes a
-boolean, a null, a list or an object, and fields go missing or are added.
+numeric flags (each as ``--flag=value`` and as ``--flag value``), and the
+readers ``death_report_from_json``, ``scenario_from_json`` and
+``parse_trajectory_csv``.  A number becomes NaN, +-inf, +-1e308, 5e-324 or
+-0.0; in a JSON document a value also becomes a boolean, a null, a list or
+an object, and fields go missing or are added.
 
 A CLI run that fails must exit 2 or 3 with one ``error:`` line on stderr,
 no traceback and no RuntimeWarning; one that exits 0 must pass an invariant
 checked against ``_oracles``.  A reader must return a value that round-trips
 or raise :class:`ParseError`.  The CLI runs in process, so the whole sweep
-takes a few seconds; the corpus's overflow cases also run as subprocesses.
+takes a few seconds; the corpus also runs as subprocesses under ``python -O``.
 """
 
+import ast
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -23,10 +26,12 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esdkit
 from esdkit import (
     CollectiveDephasing,
     DEFAULT_TOL,
@@ -47,6 +52,7 @@ from esdkit import (
     parse_state_literal,
     parse_trajectory_csv,
     project_x,
+    propagate_numeric,
     propagate_x_closed,
     scenario_from_json,
     scenario_to_json,
@@ -282,9 +288,15 @@ def test_channel_literals(tmp_path, monkeypatch):
     check_all(runs)
 
 
+def spaced(argv):
+    """``argv`` with each ``--flag=value`` split into ``--flag value``."""
+    return [part for arg in argv
+            for part in (arg.split("=", 1) if arg.startswith("--") else [arg])]
+
+
 def test_numeric_flags(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # name=value, as a value that starts with "-" is a flag of its own to argparse
+    # each as --flag=value and as --flag value: both read one way, also for "-inf"
     values = TEXT_VALUES + ("1e-300", "0", "-1", "true", "[1]", "1.5", str(10 ** 20))
     runs = []
     for value in values:
@@ -300,6 +312,8 @@ def test_numeric_flags(tmp_path, monkeypatch):
         ]
     for grid in mutations(GRID, "a="):
         runs.append(sweep("decay:1,0.7,0", X_STATE)[:-2] + [f"--grid={grid}"])
+    for argv in runs:
+        assert run(spaced(argv)) == run(argv), argv
     check_all(runs)
 
 
@@ -425,6 +439,27 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+# refusals of one error line each, exit 2: spaced values that start with "-",
+# default time scales that overflow for a subnormal rate, and the family check
+ONE_LINE = [
+    (["evolve", "--channel", "collective:1", "--horizon", "-inf", "--state", X_STATE],
+     "error: invalid --horizon: must be positive and finite, got -inf\n"),
+    (["evolve", "--channel", "collective:1", "--horizon", "-1e308", "--state", X_STATE],
+     "error: invalid --horizon: must be positive and finite, got -1e+308\n"),
+    (["death-time", "--channel", "collective:5e-324", "--state", X_STATE],
+     "error: invalid --horizon: the default horizon = 50.0 / 5e-324 (the largest jump rate) "
+     "overflows; pass horizon\n"),
+    (["sweep", "--channel", "collective:5e-324", "--family", "pure", "--grid", "a=0.6:0.8:2"],
+     "error: invalid --horizon: the default horizon = 50.0 / 5e-324 (the largest jump rate) "
+     "overflows; pass horizon\n"),
+    (["evolve", "--channel", "collective:5e-324", "--horizon", "1", "--state", X_STATE],
+     "error: invalid --dt: the default dt = 0.001 / 5e-324 (the largest jump rate) "
+     "overflows; pass dt\n"),
+    (["sweep", "--channel", "decay:1,1,0", "--family", "y", "--grid", "a=0.6:0.8:2"],
+     "error: invalid --family: expected 'x' or 'pure', got 'y'\n"),
+]
+
+
 def corpus(tmp_path):
     """(argv, exit code) of inputs that once crashed or gave wrong answers."""
     huge = write(tmp_path, "huge.json", {"jumps": [{"matrix": "dense:" + ",".join(["1e200:0"] * 16),
@@ -448,6 +483,7 @@ def corpus(tmp_path):
         (evolve("dephase:1,1", dense_text(np.diag([1e308, 1e308, 0.0, 0.0]))), 2),
         # a sweep grid point off unit trace
         (sweep("decay:1,1,0", "x:0.4,0.1,0.1,0.4,0.1,0,0,0")[:-2] + ["--grid", "a=0.5:0.6:2"], 2),
+        *((argv, 2) for argv, _ in ONE_LINE),
         # a death bracketed at the largest floats, whose midpoint once overflowed
         (["death-time", "--channel", "dephase:7e-309,7e-309", "--horizon", "1e300",
           "--state", "x:0.4,0.1,0.1,0.4,0.3,0,0,0"], 0),
@@ -472,6 +508,8 @@ def test_corpus(tmp_path, monkeypatch):
                         "only its closed forms apply\n"]
     assert run(death("dephase:5e-324,0", X_STATE))[2] == (
         "error: invalid --channel: at least one jump rate kappa/2 must be positive\n")
+    for argv, message in ONE_LINE:
+        assert run(argv) == (2, "", message), argv
 
 
 def test_corpus_library_calls():
@@ -489,6 +527,10 @@ def test_corpus_library_calls():
         # an empty cell outside the populations, once dropped from its column
         lambda: parse_trajectory_csv("t,negativity,min_pt_eig,min_eig,a,b,c,d,abs_w,abs_z\n"
                                      "0.0,,0.1,0.1,,,,,0.1,0.1\n"),
+        # a default dt of 1e-3 / 5e-324, once inf
+        lambda: simulate(make_x(0.5, 0, 0, 0.5), CollectiveDephasing(5e-324), 1.0, dt=None),
+        lambda: propagate_numeric(embed_x(make_x(0.5, 0, 0, 0.5)), CollectiveDephasing(5e-324),
+                                  1.0, dt=None),
     ]
     for call in calls:
         with warnings.catch_warnings(record=True) as caught:
@@ -496,6 +538,30 @@ def test_corpus_library_calls():
             with pytest.raises(ValueError):
                 call()
         assert not caught
+
+
+def test_corpus_under_python_O(tmp_path, monkeypatch):
+    # -O strips assert statements, and a RuntimeWarning is an error: every
+    # corpus entry still gives the bytes it gives in process
+    monkeypatch.chdir(tmp_path)
+    entries = corpus(tmp_path)
+
+    def process(argv):
+        return subprocess.run([sys.executable, "-O", "-W", "error::RuntimeWarning", "-m",
+                               "esdkit", *argv], capture_output=True, text=True, env=cli_env())
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(process, [argv for argv, _ in entries]))
+    for (argv, code), result in zip(entries, results):
+        assert (result.returncode, result.stdout, result.stderr) == run(argv), argv
+        assert result.returncode == code, (argv, result.stderr)
+
+
+def test_package_has_no_assert_statements():
+    # under python -O a check written as an assert would not run
+    for path in sorted(Path(esdkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path
 
 
 @pytest.mark.parametrize("argv, code", [
