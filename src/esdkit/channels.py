@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -314,6 +315,33 @@ def _step_plan(t: float, dt: float) -> tuple[int, float]:
     return n_steps, last if 0.0 < last < dt else dt
 
 
+# (lv.tobytes(), h) -> the deltas P(h)^(2^k) - I for k = 0, 1, ..., least recently used first
+_POWERS: dict[tuple[bytes, float], tuple[np.ndarray, ...]] = {}
+_POWERS_LOCK = threading.Lock()
+_POWERS_HELD = 256  # matrices, each key's generator bits counted as one: 1 MB of 16x16 complex
+
+
+def _step_powers(lv: np.ndarray, lv_bits: bytes, h: float, count: int) -> tuple[np.ndarray, ...]:
+    """The read-only deltas ``P(h)^(2^k) - I``, ``k < count``, of the generator
+    ``lv`` (``lv_bits`` its ``tobytes()``), memoized per ``(lv_bits, h)``: a call
+    extends the cached prefix, and the least recently used entries go past
+    ``_POWERS_HELD``.  Each is the product it would be uncached, bit for bit."""
+    key = (lv_bits, h)
+    with _POWERS_LOCK:
+        _POWERS[key] = powers = _POWERS.pop(key, ())  # now the most recently used
+    if len(powers) < count:
+        a = h * lv
+        grown = list(powers) or [
+            _frozen(a @ (_EYE_16 + a @ (_EYE_16 + a @ (_EYE_16 + a / 4.0) / 3.0) / 2.0))]
+        while len(grown) < count:
+            grown.append(_frozen(grown[-1] @ (grown[-1] + _TWO_EYE_16)))
+        with _POWERS_LOCK:
+            _POWERS[key] = powers = tuple(grown)
+            while sum(map(len, _POWERS.values())) + len(_POWERS) > _POWERS_HELD:
+                del _POWERS[next(iter(_POWERS))]
+    return powers
+
+
 def _rk4_samples(
     lv: np.ndarray, v0: np.ndarray, dt: float, h_last: float, ks: list[int]
 ) -> np.ndarray:
@@ -327,14 +355,12 @@ def _rk4_samples(
     the generator's scale is not rounded away: ``D = P(h) - I`` is the
     Horner form without its leading ``I``, squaring is ``D(D + 2I) = 2D +
     D^2``, combining ``R + B + RB``, and a state advances as ``v + Dv``.
+    The squares ``P(h)^(2^k) - I`` are memoized across calls (thread-safe,
+    about 1 MB; see :func:`_step_powers`) with the bits they have uncached.
     The hop powers' deltas ``G_1..G_B``, ``B`` about the root of the
     sample count, advance ``B`` samples per batched product.  A step too
     large for RK4 can overflow; :func:`_revalidate` reports it.
     """
-    def delta(h: float) -> np.ndarray:
-        a = h * lv
-        return a @ (_EYE_16 + a @ (_EYE_16 + a @ (_EYE_16 + a / 4.0) / 3.0) / 2.0)
-
     def combine(r: np.ndarray, b: np.ndarray) -> np.ndarray:
         return r + b + r @ b
 
@@ -344,10 +370,9 @@ def _rk4_samples(
     hops = len(ks) - 2  # samples reached by whole hops
     vs = np.empty((len(ks), 16), dtype=complex)
     vs[0] = v0
+    lv_bits = lv.tobytes()  # one object for both keys: its hash is computed once
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = [delta(dt)]  # P(dt)^(2^k) - I, up to the longest run ks[1]
-        for _ in range(ks[1].bit_length() - 1):
-            squares.append(squares[-1] @ (squares[-1] + _TWO_EYE_16))
+        squares = _step_powers(lv, lv_bits, dt, ks[1].bit_length())  # up to the longest run ks[1]
         if hops > 0:
             g = [functools.reduce(combine, bits(ks[1]))]
             for _ in range(1, math.isqrt(hops)):
@@ -357,7 +382,8 @@ def _rk4_samples(
                 block = g[: hops - i]
                 vs[i + 1 : i + 1 + len(block)] = vs[i] + block @ vs[i]
         vs[-1] = vs[-2]
-        for d in bits(ks[-1] - ks[-2] - 1) + [squares[0] if h_last == dt else delta(h_last)]:
+        last = squares[0] if h_last == dt else _step_powers(lv, lv_bits, h_last, 1)[0]
+        for d in bits(ks[-1] - ks[-2] - 1) + [last]:
             vs[-1] += d @ vs[-1]
     return vs
 
@@ -389,14 +415,15 @@ def propagate_numeric(
 ) -> DensityMatrix:
     """Integrate the master equation to time ``t`` with fixed-step RK4.
 
-    ``dt`` defaults to ``1e-3 / max_rate(channel)``.  The trajectory takes
-    ``ceil(t / dt)`` steps, the last one shortened to end at ``t``: the
-    step rule of :func:`~esdkit.dynamics.simulate`, whose last sample this
-    is: the same RK4 primitive, asked only for step ``ceil(t / dt)``.  It
+    ``dt`` defaults to ``1e-3 / max_rate(channel)``.  This is the last sample
+    of :func:`~esdkit.dynamics.simulate`, by the same RK4 primitive and step
+    rule: ``ceil(t / dt)`` steps, the last one shortened to end at ``t``.  It
     powers the one-step matrix ``P(dt)`` as deltas from ``I`` in
     O(log(t / dt)) matrix products, so the result matches stepping up to
     roundoff at every ``dt``, even where ``I + dt L`` rounds to ``I``; a
     default ``dt`` or a ``t / dt`` that overflows raises :class:`ValidationError`.
+    The squared powers are memoized by generator bits and step (at most about
+    1 MB, thread-safe), so calls that repeat both reuse them, bit for bit.
     Output is re-validated: a non-finite result, or one off Hermiticity or
     positivity by more than ``eps_psd`` or off unit trace by more than
     ``eps_trace``, raises :class:`StepTooLargeError`; the trace is then

@@ -335,17 +335,18 @@ _HANDLERS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="esdkit",
+        prog="esdkit", allow_abbrev=False,
         description="Simulate two-qubit noise channels and classify "
                     "entanglement sudden death.",
     )
-    flags = argparse.ArgumentParser(add_help=False)  # each subcommand takes all of them
+    # each subcommand takes all of them, spelled out: --hor is not --horizon
+    flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for flag, name in _FLAGS.items():
         flags.add_argument(flag, help=_FIELDS[name][2],
                            action="append" if name == "grid" else "store")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text) in _HANDLERS.items():
-        sub.add_parser(command, help=text, parents=[flags])
+        sub.add_parser(command, help=text, parents=[flags], allow_abbrev=False)
     return parser
 
 

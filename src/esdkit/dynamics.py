@@ -249,7 +249,8 @@ def simulate(
     ``I``: blocks of the hop powers ``H^1..H^B``, ``H = P(dt)^sample_every``
     and ``B`` about the root of the sample count, advance ``B`` samples per
     batched product, with the same result as stepping up to roundoff at
-    any ``dt``.  All retained samples are re-validated together; the
+    any ``dt``; the squares of ``P`` are memoized (see ``propagate_numeric``)
+    with the same bits.  All retained samples are re-validated together; the
     earliest failing one raises :class:`~esdkit.errors.StepTooLargeError`.
     A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
     """
@@ -261,7 +262,7 @@ def simulate(
 
     n_steps, h_last = _step_plan(horizon, dt)
     if sample_every is None:
-        sample_every = max(1, int(np.ceil(n_steps / DEFAULT_SAMPLES)))
+        sample_every = -(-n_steps // DEFAULT_SAMPLES)  # an exact ceiling, past 2**53 steps too
     elif not hasattr(type(sample_every), "__index__") or sample_every < 1:
         # an integer is anything operator.index takes, as for range()
         raise ValidationError(f"sample_every must be an integer >= 1, got {sample_every!r}")

@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from esdkit import (
     thermal_product,
     x_closed_curves,
 )
+from esdkit import channels
 from esdkit.channels import _jump_terms, _revalidate, _step_plan
 from esdkit.errors import (
     OutOfRangeError,
@@ -460,6 +463,126 @@ def test_propagate_numeric_preserves_x_pattern():
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
             off[i, j] = 0.0
         assert float(np.abs(off).max()) < 1e-10
+
+
+# --- the step-power memo ------------------------------------------------------
+
+def clear_memo():
+    """Empty the memo of step powers, so that the next call builds its own."""
+    with channels._POWERS_LOCK:
+        channels._POWERS.clear()
+
+
+def held():
+    """Matrices the memo holds, each key's generator bits counted as one."""
+    return sum(len(entry) + 1 for entry in channels._POWERS.values())
+
+
+MEMO_CUSTOM = CustomChannel(((np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(2)), 0.7),
+                             (np.kron(np.eye(2), np.diag([1.0, -1.0])), 0.4)))
+MEMO_CHANNELS = [IndependentDecay(1.0, 0.7, 0.3), IndependentDecay(1.0, 1.0),
+                 IndependentDephasing(1.0, 0.5), CollectiveDephasing(0.8), MEMO_CUSTOM]
+# (t, dt): a last step equal to dt and a shorter one, then t / dt past 2**53,
+# where the last step is dt again (see the step plan tests above)
+MEMO_STEPS = [(1.0, 0.125), (1.0, 0.3), (0.7305, 1e-3), (5.0, 1e-17), (5.0, 1e-100 / 1.3)]
+
+
+def memo_outputs(rho, channel, t, dt):
+    """The bytes of propagate_numeric's result and of a dense trajectory's stack."""
+    traj = simulate(rho, channel, t, dt)
+    return [propagate_numeric(rho, channel, t, dt).matrix.tobytes(), traj.times.tobytes(),
+            np.stack([m.matrix for m in traj.states]).tobytes(), traj.negativity.tobytes(),
+            traj.min_eig.tobytes()]
+
+
+def test_memo_plans_cover_both_last_steps():
+    assert [_step_plan(t, dt)[1] == dt for t, dt in MEMO_STEPS] == [True, False, False, True, True]
+    assert [_step_plan(t, dt)[0] >= 2 ** 53 for t, dt in MEMO_STEPS] == [False] * 3 + [True] * 2
+
+
+@pytest.mark.parametrize("channel", MEMO_CHANNELS, ids=lambda c: type(c).__name__)
+def test_memo_gives_cold_bits_when_warm(channel):
+    rho = random_density(13)
+    cold = []
+    for t, dt in MEMO_STEPS:
+        clear_memo()
+        cold.append(memo_outputs(rho, channel, t, dt))
+    # warm: every key cached, then prefixes grown from shorter runs of the same step
+    assert [memo_outputs(rho, channel, t, dt) for t, dt in MEMO_STEPS] == cold
+    clear_memo()
+    for t, dt in MEMO_STEPS:
+        memo_outputs(rho, channel, dt, dt)
+        assert memo_outputs(rho, channel, t, dt) == cold[MEMO_STEPS.index((t, dt))]
+
+
+def test_memo_keeps_refusing_steps_too_large_for_rk4():
+    clear_memo()
+    rho = random_density(4)
+    for _ in range(2):  # cold, then with every power of the refused step cached
+        with pytest.raises(StepTooLargeError):
+            propagate_numeric(rho, IndependentDecay(1.0, 1.0), 40.0, dt=4.0)
+        with pytest.raises(StepTooLargeError):
+            simulate(rho, IndependentDecay(1.0, 1.0), 40.0, dt=4.0)
+    assert channels._POWERS
+
+
+def test_memo_stays_within_its_bound():
+    clear_memo()
+    rho = random_density(2)
+    for k in range(200):  # each rate a new generator, with a shortened last step
+        propagate_numeric(rho, IndependentDecay(1.0 + k / 64, 0.5), 0.7305, dt=1e-3)
+        assert 0 < held() <= channels._POWERS_HELD
+    # a run of more squares than the bound holds is not kept, and evicts the rest
+    propagate_numeric(rho, IndependentDecay(1.0, 1.0), 1.0, dt=5.6e-309)
+    assert held() <= channels._POWERS_HELD
+
+
+def test_memo_matrices_are_read_only():
+    clear_memo()
+    for channel in MEMO_CHANNELS:
+        propagate_numeric(random_density(3), channel, 0.7305, dt=1e-3)
+    matrices = [m for entry in channels._POWERS.values() for m in entry]
+    assert len(matrices) >= 2 * len(MEMO_CHANNELS)
+    assert not any(m.flags.writeable for m in matrices)
+    with pytest.raises(ValueError):
+        matrices[0][0, 0] = 0.0
+
+
+def test_memo_under_threads_gives_serial_bits():
+    # more threads than cores, switching often, each on its own channel, and
+    # each also filling the memo with new generators so that entries are
+    # evicted while the others read: every result keeps its serial bits
+    rho, channels_used = random_density(17), MEMO_CHANNELS[:4]
+
+    def results(k):
+        out = []
+        for i, t in enumerate((0.1, 0.37, 1.0, 2.5) * 3):
+            out.append(propagate_numeric(rho, channels_used[k], t, dt=1e-3).matrix.tobytes())
+            propagate_numeric(rho, IndependentDecay(1.0 + k + i / 64, 0.5), t, dt=1e-3)
+        return out
+
+    clear_memo()
+    serial = [results(k) for k in range(len(channels_used))]
+    clear_memo()
+    start, out = threading.Barrier(len(channels_used)), {}
+
+    def worker(k):
+        start.wait(timeout=60)
+        out[k] = results(k)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(channels_used))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [out.get(k) for k in range(len(channels_used))] == serial
+    assert held() <= channels._POWERS_HELD
 
 
 # --- closed-form X dynamics -------------------------------------------------

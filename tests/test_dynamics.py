@@ -9,6 +9,7 @@ import pytest
 
 import esdkit.dynamics
 from esdkit import (
+    DEFAULT_SAMPLES,
     CollectiveDephasing,
     CustomChannel,
     DeathReport,
@@ -217,6 +218,17 @@ def test_trajectory_states_view(dense):
     # each access builds a new wrapper over the same read-only row
     assert states[1] is not states[1]
     assert not states.stack.flags.writeable
+
+
+@pytest.mark.parametrize("horizon", [1e20, 1e300])
+@pytest.mark.parametrize("dense", [False, True])
+def test_simulate_default_sampling_past_2_to_the_53_steps(horizon, dense):
+    # about 1e23 steps and up: the float quotient n_steps / DEFAULT_SAMPLES
+    # once rounded down, and a 2,002nd sample landed on the horizon, a repeat
+    state0 = random_density(5) if dense else make_x(0.4, 0.1, 0.1, 0.4, 0.3, 0.05)
+    traj = simulate(state0, IndependentDecay(1.0, 1.0), horizon)
+    assert len(traj.times) == DEFAULT_SAMPLES + 1 and traj.times[-1] == horizon
+    assert np.all(np.diff(traj.times) > 0.0)
 
 
 def test_simulate_numeric_coarse_step_fails_validation():
