@@ -5,39 +5,24 @@ Each channel is a Lindblad generator with no Hamiltonian part,
     d rho / dt = sum_k gamma_k ( L_k rho L_k^dag
                                  - (L_k^dag L_k rho + rho L_k^dag L_k) / 2 ).
 
-Catalog
--------
-``IndependentDecay(gamma_a, gamma_b, nbar)``
-    Each qubit couples to its own thermal reservoir: lowering jumps at
-    rate ``gamma_i (nbar + 1)`` and raising jumps at rate ``gamma_i nbar``.
-    Writing ``E_i = exp(-Gamma_i t)`` with ``Gamma_i = gamma_i (2 nbar + 1)``
-    and ``q = nbar / (2 nbar + 1)``, each qubit's excited weight relaxes as
-    ``p -> E p + q (1 - E)``; the joint populations factor through the two
-    single-qubit transfer matrices, and both X coherences shrink by
-    ``sqrt(E_A E_B)``.
-
-``IndependentDephasing(kappa_a, kappa_b)``
-    Local phase noise, jump ``sigma_z`` on each qubit at rate
-    ``kappa_i / 2``.  Populations are frozen; a single-qubit coherence
-    decays as ``exp(-kappa_i t)``, so the two-qubit coherences ``w`` and
-    ``z`` both decay as ``exp(-(kappa_a + kappa_b) t)``.
-
-``CollectiveDephasing(kappa_c)``
-    A single shared reservoir couples to the total inversion, jump
-    ``(sigma_z (x) I + I (x) sigma_z) / 2 = diag(1, 0, 0, -1)`` at rate
-    ``kappa_c``.  An entry ``rho_jk`` decays as
-    ``exp(-kappa_c (lam_j - lam_k)^2 t / 2)`` with ``lam = (1, 0, 0, -1)``,
-    so ``w`` decays at rate ``2 kappa_c`` while ``z`` and all populations
-    are exactly invariant (the inner levels span a decoherence-free
-    subspace).
-
-``CustomChannel(jumps)``
-    Explicit list of ``(L, rate)`` pairs.  Supported by the numeric
-    propagator only; closed forms and asymptotic sets are unavailable.
-
+The catalog is :class:`IndependentDecay`, :class:`IndependentDephasing`
+and :class:`CollectiveDephasing`.  Each class carries all that differs
+between them: its flow (class docstring), ``(L, D(L), rate)`` terms
+(``_terms``), closed-form X curves (``_curves``), late-time PT-block
+margins (``_limit_margins``), whether its outer block is undamped
+(``_outer_undamped``), asymptotic set (``_asymptotic_set``) and literal
+prefix (``_prefix``, then its fields).  The public functions read these
+and refuse other channels, such as a :class:`CustomChannel`, which is
+propagated numerically only; :func:`is_catalog` is the one type test.
 The closed forms are exact because each catalog generator maps the X
-family to itself with decoupled population and coherence flows; the test
-suite cross-checks them against the numeric propagator.
+family to itself with decoupled population and coherence flows.
+
+A block's margin, ``|w(t)|^2 - b(t)c(t)`` for the inner PT block (outer:
+``|z(t)|^2 - a(t)d(t)``), is positive exactly while the block is entangled.  It
+underflows at late times, but factors into a decaying envelope times a bracket
+with a finite limit, which ``_limit_margins`` gives: O(1) arithmetic on the
+initial data, whose sign outlives the pointwise margin and decides the death
+verdicts of :mod:`esdkit.dynamics`.
 """
 
 from __future__ import annotations
@@ -46,7 +31,7 @@ import functools
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -121,13 +106,57 @@ def _thermal_scale(nbar: float) -> float:
     return 2.0 * nbar + 1.0
 
 
+_EYE_4, _EYE_16, _TWO_EYE_16 = _frozen(np.eye(4)), _frozen(np.eye(16)), _frozen(2.0 * np.eye(16))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 4x4 matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
+def _paired(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, D(L))``, both read-only, with the dissipator ``D(L) = L kron conj(L) -
+    (L^dag L kron I + I kron (L^dag L)^T) / 2``, non-finite if L is too large for it."""
+    op = _frozen(op)
+    # a block: np.errstate as a decorator costs several times more per call
+    with np.errstate(over="ignore", invalid="ignore"):
+        anti = op.conj().T @ op
+        d = _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
+    return op, _frozen(d)
+
+
+# the catalog's jump operators as (on qubit A, on qubit B), each an (L, D(L)) pair
+_LOWER, _RAISE, _PHASE = (
+    (_paired(np.kron(op, IDENTITY_2)), _paired(np.kron(IDENTITY_2, op)))
+    for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z)
+)
+_INVERSION = _paired(0.5 * (_PHASE[0][0] + _PHASE[1][0]))
+
+
+def _dephased(x: XState, tau: np.ndarray, rate: float, z_kept: bool) -> tuple[np.ndarray, ...]:
+    """X curves with frozen populations and ``w`` decaying at ``rate``, ``z`` too unless kept."""
+    ones = np.ones_like(tau)
+    shrink = np.exp(-rate * tau)
+    return (x.a * ones, x.b * ones, x.c * ones, x.d * ones,
+            x.w * shrink, x.z * (ones + 0.0j if z_kept else shrink))
+
+
 @dataclass(frozen=True)
 class IndependentDecay:
-    """Local amplitude damping into thermal reservoirs of occupation ``nbar``."""
+    """Local amplitude damping into thermal reservoirs of occupation ``nbar``.
+
+    Lowering jumps at ``gamma_i (nbar + 1)``, raising ones at ``gamma_i nbar``.
+    With ``E_i = exp(-Gamma_i t)``, ``Gamma_i = gamma_i (2 nbar + 1)`` and
+    ``q = nbar / (2 nbar + 1)``, each qubit's excited weight relaxes as
+    ``p -> E p + q (1 - E)``; the joint populations factor through the two
+    single-qubit transfer matrices, and both coherences shrink by ``sqrt(E_A E_B)``.
+    """
 
     gamma_a: float
     gamma_b: float
     nbar: float = 0.0
+    _prefix = "decay:"
+    _outer_undamped = False
 
     def __post_init__(self) -> None:
         scale = _thermal_scale(self.nbar)
@@ -135,13 +164,71 @@ class IndependentDecay:
                        {"gamma_a*(2*nbar+1)": self.gamma_a * scale,
                         "gamma_b*(2*nbar+1)": self.gamma_b * scale})
 
+    @property
+    def _terms(self) -> tuple:
+        down, up = self.nbar + 1.0, self.nbar
+        return ((*_LOWER[0], self.gamma_a * down), (*_LOWER[1], self.gamma_b * down),
+                (*_RAISE[0], self.gamma_a * up), (*_RAISE[1], self.gamma_b * up))
+
+    def _curves(self, x: XState, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+        scale = 2.0 * self.nbar + 1.0
+        q = self.nbar / scale
+        e_a = np.exp(-self.gamma_a * scale * tau)
+        e_b = np.exp(-self.gamma_b * scale * tau)
+        # single-qubit transfer matrices [[stay, gain], [1-stay, 1-gain]]
+        stay_a, gain_a = e_a + q * (1.0 - e_a), q * (1.0 - e_a)
+        stay_b, gain_b = e_b + q * (1.0 - e_b), q * (1.0 - e_b)
+        # mix A first (rows of [[a, b], [c, d]]), then B (columns)
+        m00 = stay_a * x.a + gain_a * x.c
+        m01 = stay_a * x.b + gain_a * x.d
+        m10 = (1.0 - stay_a) * x.a + (1.0 - gain_a) * x.c
+        m11 = (1.0 - stay_a) * x.b + (1.0 - gain_a) * x.d
+        a = stay_b * m00 + gain_b * m01
+        b = (1.0 - stay_b) * m00 + (1.0 - gain_b) * m01
+        c = stay_b * m10 + gain_b * m11
+        d = (1.0 - stay_b) * m10 + (1.0 - gain_b) * m11
+        shrink = np.sqrt(e_a * e_b)
+        return a, b, c, d, x.w * shrink, x.z * shrink
+
+    def _limit_margins(self, x0: XState) -> tuple:
+        a, b, c, d = x0.a, x0.b, x0.c, x0.d
+        # hypot and square give a scalar's bits on an array too; abs(w) ** 2 does not
+        w2, z2 = (np.square(np.hypot(v.real, v.imag)) for v in (x0.w, x0.z))
+        if self.nbar == 0.0:
+            # e_i(t) -> 0 for gamma_i > 0 and stays 1 for a frozen qubit;
+            # both coherence and population products carry the same
+            # e_a*e_b envelope, leaving these brackets.
+            sa = 1.0 if self.gamma_a == 0.0 else 0.0
+            sb = 1.0 if self.gamma_b == 0.0 else 0.0
+            d_inf = (1.0 - sa) * (1.0 - sb) * a + (1.0 - sb) * c + (1.0 - sa) * b + d
+            return z2 - a * d_inf, w2 - ((1.0 - sb) * a + b) * ((1.0 - sa) * a + c)
+        # finite temperature: coherences vanish while the populations
+        # settle on a product state, generically strictly interior, so
+        # the raw limit margin is already well scaled
+        q = self.nbar / (2.0 * self.nbar + 1.0)
+        pa = a + b if self.gamma_a == 0.0 else q
+        pb = a + c if self.gamma_b == 0.0 else q
+        return -(pa * pb) * ((1.0 - pa) * (1.0 - pb)), -(pa * (1.0 - pb)) * ((1.0 - pa) * pb)
+
+    def _asymptotic_set(self) -> AsymptoticSet:
+        if self.gamma_a <= 0.0 or self.gamma_b <= 0.0:
+            raise UnsupportedChannelError("asymptotic set requires both decay rates positive")
+        return SinglePoint(thermal_product(self.nbar))
+
 
 @dataclass(frozen=True)
 class IndependentDephasing:
-    """Local phase damping at rates ``kappa_a``, ``kappa_b``."""
+    """Local phase damping at rates ``kappa_a``, ``kappa_b``.
+
+    Jump ``sigma_z`` on each qubit at rate ``kappa_i / 2``.  Populations are
+    frozen; a single-qubit coherence decays as ``exp(-kappa_i t)``, so ``w``
+    and ``z`` both decay as ``exp(-(kappa_a + kappa_b) t)``.
+    """
 
     kappa_a: float
     kappa_b: float
+    _prefix = "dephase:"
+    _outer_undamped = False
 
     def __post_init__(self) -> None:
         _require_rates({"kappa_a": self.kappa_a, "kappa_b": self.kappa_b},
@@ -149,15 +236,53 @@ class IndependentDephasing:
         if max(self.kappa_a, self.kappa_b) / 2.0 == 0.0:  # the jump rates, 5e-324 / 2 = 0
             raise OutOfRangeError("at least one jump rate kappa/2 must be positive")
 
+    @property
+    def _terms(self) -> tuple:
+        return (*_PHASE[0], self.kappa_a / 2.0), (*_PHASE[1], self.kappa_b / 2.0)
+
+    def _curves(self, x: XState, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+        return _dephased(x, tau, self.kappa_a + self.kappa_b, z_kept=False)
+
+    def _limit_margins(self, x0: XState) -> tuple:
+        # frozen populations, both coherences damped
+        return -(x0.a * x0.d), -(x0.b * x0.c)
+
+    def _asymptotic_set(self) -> AsymptoticSet:
+        if self.kappa_a <= 0.0 or self.kappa_b <= 0.0:
+            raise UnsupportedChannelError("asymptotic set requires both dephasing rates positive")
+        return XFamily(w_zero=True, z_zero=True)
+
 
 @dataclass(frozen=True)
 class CollectiveDephasing:
-    """Shared phase damping of the total inversion at rate ``kappa_c``."""
+    """Shared phase damping of the total inversion at rate ``kappa_c``.
+
+    Jump ``(sigma_z (x) I + I (x) sigma_z) / 2 = diag(1, 0, 0, -1)``.  An entry
+    ``rho_jk`` decays as ``exp(-kappa_c (lam_j - lam_k)^2 t / 2)`` with
+    ``lam = (1, 0, 0, -1)``, so ``w`` decays at rate ``2 kappa_c`` while ``z``
+    and all populations are invariant (the inner levels are decoherence-free).
+    """
 
     kappa_c: float
+    _prefix = "collective:"
+    _outer_undamped = True  # z spans the decoherence-free subspace
 
     def __post_init__(self) -> None:
         _require_rates({"kappa_c": self.kappa_c}, {"2*kappa_c": 2.0 * self.kappa_c})
+
+    @property
+    def _terms(self) -> tuple:
+        return ((*_INVERSION, self.kappa_c),)
+
+    def _curves(self, x: XState, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+        return _dephased(x, tau, 2.0 * self.kappa_c, z_kept=True)
+
+    def _limit_margins(self, x0: XState) -> tuple:
+        # frozen populations, w damped, z kept: the outer margin is constant
+        return np.square(np.hypot(x0.z.real, x0.z.imag)) - x0.a * x0.d, -(x0.b * x0.c)
+
+    def _asymptotic_set(self) -> AsymptoticSet:
+        return XFamily(w_zero=True, z_zero=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +328,8 @@ ChannelSpec = Union[
 ]
 
 _CATALOG = (IndependentDecay, IndependentDephasing, CollectiveDephasing)
+# each catalog literal's prefix -> its class and the commas between its fields
+_LITERALS = {kind._prefix: (kind, "," * (len(fields(kind)) - 1)) for kind in _CATALOG}
 
 
 def is_catalog(channel: ChannelSpec) -> bool:
@@ -210,48 +337,11 @@ def is_catalog(channel: ChannelSpec) -> bool:
     return isinstance(channel, _CATALOG)
 
 
-_EYE_4, _EYE_16, _TWO_EYE_16 = _frozen(np.eye(4)), _frozen(np.eye(16)), _frozen(2.0 * np.eye(16))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 4x4 matrices, as one broadcast product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
-
-
-def _paired(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, D(L))``, both read-only, with the dissipator ``D(L) = L kron conj(L) -
-    (L^dag L kron I + I kron (L^dag L)^T) / 2``, non-finite if L is too large for it."""
-    op = _frozen(op)
-    # a block: np.errstate as a decorator costs several times more per call
-    with np.errstate(over="ignore", invalid="ignore"):
-        anti = op.conj().T @ op
-        d = _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
-    return op, _frozen(d)
-
-
-# the catalog's jump operators as (on qubit A, on qubit B), each an (L, D(L)) pair
-_LOWER, _RAISE, _PHASE = (
-    (_paired(np.kron(op, IDENTITY_2)), _paired(np.kron(IDENTITY_2, op)))
-    for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z)
-)
-_INVERSION = _paired(0.5 * (_PHASE[0][0] + _PHASE[1][0]))
-
-
 def _jump_terms(channel: ChannelSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """The ``(L, D(L), rate)`` triples of the generator, zero rates dropped."""
-    if isinstance(channel, IndependentDecay):
-        down, up = channel.nbar + 1.0, channel.nbar
-        terms = [(*_LOWER[0], channel.gamma_a * down), (*_LOWER[1], channel.gamma_b * down),
-                 (*_RAISE[0], channel.gamma_a * up), (*_RAISE[1], channel.gamma_b * up)]
-    elif isinstance(channel, IndependentDephasing):
-        terms = [(*_PHASE[0], channel.kappa_a / 2.0), (*_PHASE[1], channel.kappa_b / 2.0)]
-    elif isinstance(channel, CollectiveDephasing):
-        terms = [(*_INVERSION, channel.kappa_c)]
-    elif isinstance(channel, CustomChannel):
-        terms = channel._terms
-    else:
+    if not (is_catalog(channel) or isinstance(channel, CustomChannel)):
         raise UnsupportedChannelError(f"unknown channel type {type(channel).__name__}")
-    return [term for term in terms if term[2] > 0.0]
+    return [term for term in channel._terms if term[2] > 0.0]
 
 
 def jump_operators(channel: ChannelSpec) -> list[tuple[np.ndarray, float]]:
@@ -324,8 +414,8 @@ _POWERS_HELD = 256  # matrices, each key's generator bits counted as one: 1 MB o
 def _step_powers(lv: np.ndarray, lv_bits: bytes, h: float, count: int) -> tuple[np.ndarray, ...]:
     """The read-only deltas ``P(h)^(2^k) - I``, ``k < count``, of the generator
     ``lv`` (``lv_bits`` its ``tobytes()``), memoized per ``(lv_bits, h)``: a call
-    extends the cached prefix, and the least recently used entries go past
-    ``_POWERS_HELD``.  Each is the product it would be uncached, bit for bit."""
+    extends the cached prefix, the least recently used go past ``_POWERS_HELD``,
+    and a run past it alone is not kept.  Each is its uncached product, bit for bit."""
     key = (lv_bits, h)
     with _POWERS_LOCK:
         _POWERS[key] = powers = _POWERS.pop(key, ())  # now the most recently used
@@ -337,6 +427,8 @@ def _step_powers(lv: np.ndarray, lv_bits: bytes, h: float, count: int) -> tuple[
             grown.append(_frozen(grown[-1] @ (grown[-1] + _TWO_EYE_16)))
         with _POWERS_LOCK:
             _POWERS[key] = powers = tuple(grown)
+            if len(powers) >= _POWERS_HELD:  # alone past the bound it would evict all, itself too
+                del _POWERS[key]
             while sum(map(len, _POWERS.values())) + len(_POWERS) > _POWERS_HELD:
                 del _POWERS[next(iter(_POWERS))]
     return powers
@@ -457,38 +549,9 @@ def x_closed_curves(x: XState, channel: ChannelSpec, times) -> tuple[np.ndarray,
     # a NaN time compares False, so it fails
     if tau.size and not float(tau.min()) >= 0.0:
         raise ValidationError("times must be nonnegative")
-    ones = np.ones_like(tau)
-    if isinstance(channel, IndependentDecay):
-        scale = 2.0 * channel.nbar + 1.0
-        q = channel.nbar / scale
-        e_a = np.exp(-channel.gamma_a * scale * tau)
-        e_b = np.exp(-channel.gamma_b * scale * tau)
-        # single-qubit transfer matrices [[stay, gain], [1-stay, 1-gain]]
-        stay_a, gain_a = e_a + q * (1.0 - e_a), q * (1.0 - e_a)
-        stay_b, gain_b = e_b + q * (1.0 - e_b), q * (1.0 - e_b)
-        # mix A first (rows of [[a, b], [c, d]]), then B (columns)
-        m00 = stay_a * x.a + gain_a * x.c
-        m01 = stay_a * x.b + gain_a * x.d
-        m10 = (1.0 - stay_a) * x.a + (1.0 - gain_a) * x.c
-        m11 = (1.0 - stay_a) * x.b + (1.0 - gain_a) * x.d
-        a = stay_b * m00 + gain_b * m01
-        b = (1.0 - stay_b) * m00 + (1.0 - gain_b) * m01
-        c = stay_b * m10 + gain_b * m11
-        d = (1.0 - stay_b) * m10 + (1.0 - gain_b) * m11
-        shrink = np.sqrt(e_a * e_b)
-        return a, b, c, d, x.w * shrink, x.z * shrink
-    if isinstance(channel, (IndependentDephasing, CollectiveDephasing)):
-        # populations are invariant, and so is z under collective dephasing
-        collective = isinstance(channel, CollectiveDephasing)
-        rate = 2.0 * channel.kappa_c if collective else channel.kappa_a + channel.kappa_b
-        shrink = np.exp(-rate * tau)
-        return (
-            x.a * ones, x.b * ones, x.c * ones, x.d * ones,
-            x.w * shrink, x.z * (ones + 0.0j if collective else shrink),
-        )
-    raise UnsupportedChannelError(
-        f"no closed form for channel type {type(channel).__name__}"
-    )
+    if not is_catalog(channel):
+        raise UnsupportedChannelError(f"no closed form for channel type {type(channel).__name__}")
+    return channel._curves(x, tau)
 
 
 def propagate_x_closed(x: XState, channel: ChannelSpec, t: float) -> XState:
@@ -556,23 +619,10 @@ def asymptotic_set(channel: ChannelSpec) -> AsymptoticSet:
     Channels with a vanishing per-qubit rate leave that qubit untouched,
     so these descriptions do not apply and are refused.
     """
-    if isinstance(channel, IndependentDecay):
-        if channel.gamma_a <= 0.0 or channel.gamma_b <= 0.0:
-            raise UnsupportedChannelError(
-                "asymptotic set requires both decay rates positive"
-            )
-        return SinglePoint(thermal_product(channel.nbar))
-    if isinstance(channel, IndependentDephasing):
-        if channel.kappa_a <= 0.0 or channel.kappa_b <= 0.0:
-            raise UnsupportedChannelError(
-                "asymptotic set requires both dephasing rates positive"
-            )
-        return XFamily(w_zero=True, z_zero=True)
-    if isinstance(channel, CollectiveDephasing):
-        return XFamily(w_zero=True, z_zero=False)
-    raise UnsupportedChannelError(
-        f"no asymptotic set for channel type {type(channel).__name__}"
-    )
+    if not is_catalog(channel):
+        raise UnsupportedChannelError(
+            f"no asymptotic set for channel type {type(channel).__name__}")
+    return channel._asymptotic_set()
 
 
 def set_contains(
@@ -599,15 +649,9 @@ def set_contains(
 
 def format_channel_literal(channel: ChannelSpec) -> str:
     """Literal form of a catalog channel (custom channels have no literal)."""
-    if isinstance(channel, IndependentDecay):
-        return f"decay:{channel.gamma_a!r},{channel.gamma_b!r},{channel.nbar!r}"
-    if isinstance(channel, IndependentDephasing):
-        return f"dephase:{channel.kappa_a!r},{channel.kappa_b!r}"
-    if isinstance(channel, CollectiveDephasing):
-        return f"collective:{channel.kappa_c!r}"
-    raise UnsupportedChannelError(
-        f"no literal form for channel type {type(channel).__name__}"
-    )
+    if not is_catalog(channel):
+        raise UnsupportedChannelError(f"no literal form for channel type {type(channel).__name__}")
+    return channel._prefix + ",".join(repr(getattr(channel, f.name)) for f in fields(channel))
 
 
 def _read_json(path: str, what: str, key: str | None = None) -> dict:
@@ -658,15 +702,10 @@ def parse_channel_literal(text: str) -> ChannelSpec:
     numbers are read as a state literal's are, as Python floats.
     """
     body = text.strip()
-    if body.startswith("decay:"):
-        return IndependentDecay(*_literal_numbers([body], "decay:", ",,")[0].tolist())
-    if body.startswith("dephase:"):
-        return IndependentDephasing(*_literal_numbers([body], "dephase:", ",")[0].tolist())
-    if body.startswith("collective:"):
-        return CollectiveDephasing(*_literal_numbers([body], "collective:", "")[0].tolist())
+    for prefix, (kind, separators) in _LITERALS.items():
+        if body.startswith(prefix):
+            return kind(*_literal_numbers([body], prefix, separators)[0].tolist())
     if body.startswith("custom:"):
         return _load_custom_channel(body[len("custom:"):])
-    raise ParseError(
-        "channel literal must start with 'decay:', 'dephase:', 'collective:' "
-        f"or 'custom:', got {body[:16]!r}"
-    )
+    prefixes = ", ".join(map(repr, _LITERALS))
+    raise ParseError(f"channel literal must start with {prefixes} or 'custom:', got {body[:16]!r}")

@@ -333,14 +333,19 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one error: line and exit 2, as for every other refusal
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="esdkit", allow_abbrev=False,
         description="Simulate two-qubit noise channels and classify "
                     "entanglement sudden death.",
     )
     # each subcommand takes all of them, spelled out: --hor is not --horizon
-    flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    flags = _Parser(add_help=False, allow_abbrev=False)
     for flag, name in _FLAGS.items():
         flags.add_argument(flag, help=_FIELDS[name][2],
                            action="append" if name == "grid" else "store")
@@ -361,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
             words[-1] += "=" + word
         else:
             words.append(word)
-    args = _PARSER.parse_args(words)
     try:
+        args = _PARSER.parse_args(words)
         return _HANDLERS[args.command][0](_build_config(args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,12 @@ below any fixed threshold, so a threshold crossing alone does not
 establish sudden death, and a state still entangled at the horizon may
 yet die after it.  Every verdict on an entangled state is therefore
 decided by the sign of the exact late-time margin of the block that
-carried the entanglement (see ``_limit_margin``), whatever the horizon:
-strictly negative means the block leaves the entangled region at a finite
-time (``"finite"``); zero or positive means it never does, and its
-negativity drains to zero (``"asymptotic"``) unless the block is not
-damped at all (``"persistent"``; among catalog blocks only the z-block
-under collective dephasing, the decoherence-free subspace).
+carried the entanglement (the channel's ``_limit_margins``), whatever the
+horizon: strictly negative means the block leaves the entangled region at
+a finite time (``"finite"``); zero or positive means it never does, and
+its negativity drains to zero (``"asymptotic"``) unless the channel leaves
+the block undamped (``"persistent"``; only the z-block under collective
+dephasing, the decoherence-free subspace, has ``_outer_undamped``).
 
 Verdict vocabulary: ``"finite"`` (the negativity reaches ``eps_death`` at
 ``t_star``, which may lie past the horizon), ``"asymptotic"`` (negativity
@@ -49,8 +49,6 @@ import numpy as np
 from ._floattext import format_rows
 from .channels import (
     ChannelSpec,
-    CollectiveDephasing,
-    IndependentDecay,
     SinglePoint,
     asymptotic_set,
     is_catalog,
@@ -294,49 +292,6 @@ def simulate(
                       np.abs(stack[:, 1, 2]), **dict(zip("abcd", populations)))
 
 
-def _limit_margin(x0: XState, channel: ChannelSpec, inner: bool):
-    """Late-time sign of a PT block margin, computed without underflow.
-
-    The entanglement margin of the inner PT block is ``|w(t)|^2 -
-    b(t)c(t)`` (outer: ``|z(t)|^2 - a(t)d(t)``); the block is entangled
-    exactly while its margin is positive.  At large times the raw margin
-    shrinks below the smallest representable float, but for every catalog
-    channel it factors into a decaying envelope times a bracket with a
-    finite limit, and only the bracket's sign matters: negative means the
-    margin crosses zero at some finite time, zero or positive means the
-    block stays entangled forever, its negativity draining away unless
-    the block is undamped.  The limit bracket is plain O(1) arithmetic on
-    the initial data, so its sign survives long after the pointwise margin
-    has degraded.  ``x0`` may hold scalars or equal-length arrays.
-    """
-    a, b, c, d = x0.a, x0.b, x0.c, x0.d
-    # hypot and square give a scalar's bits on an array too; abs(w) ** 2 does not
-    w2, z2 = (np.square(np.hypot(v.real, v.imag)) for v in (x0.w, x0.z))
-    if isinstance(channel, IndependentDecay):
-        if channel.nbar == 0.0:
-            # e_i(t) -> 0 for gamma_i > 0 and stays 1 for a frozen qubit;
-            # both coherence and population products carry the same
-            # e_a*e_b envelope, leaving these brackets.
-            sa = 1.0 if channel.gamma_a == 0.0 else 0.0
-            sb = 1.0 if channel.gamma_b == 0.0 else 0.0
-            if inner:
-                return w2 - ((1.0 - sb) * a + b) * ((1.0 - sa) * a + c)
-            d_inf = (1.0 - sa) * (1.0 - sb) * a + (1.0 - sb) * c + (1.0 - sa) * b + d
-            return z2 - a * d_inf
-        # finite temperature: coherences vanish while the populations
-        # settle on a product state, generically strictly interior, so
-        # the raw limit margin is already well scaled
-        q = channel.nbar / (2.0 * channel.nbar + 1.0)
-        pa = a + b if channel.gamma_a == 0.0 else q
-        pb = a + c if channel.gamma_b == 0.0 else q
-        if inner:
-            return -(pa * (1.0 - pb)) * ((1.0 - pa) * pb)
-        return -(pa * pb) * ((1.0 - pa) * (1.0 - pb))
-    # dephasing: frozen populations, w always damped, z damped unless the dephasing is collective
-    z_kept = isinstance(channel, CollectiveDephasing)
-    return -(b * c) if inner else (z2 - a * d if z_kept else -(a * d))
-
-
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
@@ -461,10 +416,9 @@ def _death_reports(
     # the block that carries the entanglement (at most one block ever does)
     inner_block = inner_pt[:, 0] < outer_pt[:, 0]
 
-    margins = [_limit_margin(XState(*cols), channel, inner) for inner in (False, True)]
-    finite = ever & (np.where(inner_block, margins[1], margins[0]) < 0.0)
-    # the z-block margin under collective dephasing is constant
-    persistent = ever & ~finite & ~inner_block & isinstance(channel, CollectiveDephasing)
+    outer_margin, inner_margin = channel._limit_margins(XState(*cols))
+    finite = ever & (np.where(inner_block, inner_margin, outer_margin) < 0.0)
+    persistent = ever & ~finite & ~inner_block & channel._outer_undamped
 
     lo, hi = np.zeros(count), np.full(count, horizon)
     # rows alive at the horizon: bracket each by its first dead rung of a ladder of doublings

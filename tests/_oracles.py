@@ -13,6 +13,7 @@ import numpy as np
 
 from esdkit.channels import (
     CollectiveDephasing,
+    IndependentDecay,
     SinglePoint,
     XFamily,
     max_rate,
@@ -27,7 +28,6 @@ from esdkit.dynamics import (
     VERDICT_NEVER,
     VERDICT_PERSISTENT,
     DeathReport,
-    _limit_margin,
     _pt_blocks,
 )
 from esdkit.entanglement import eigenvalues_hermitian, partial_transpose
@@ -150,6 +150,36 @@ def random_local_unitary(rng):
     return np.kron(blocks[0], blocks[1])
 
 
+def limit_margin(x0, channel, inner):
+    """Late-time sign of a PT block margin: a copy of the limit formulas, one
+    function for all catalog channels, so that a fault in a channel's own
+    ``_limit_margins`` does not pass into the oracles that use this one.
+
+    The inner block's margin ``|w(t)|^2 - b(t)c(t)`` (outer: ``|z(t)|^2 -
+    a(t)d(t)``) factors into a decaying envelope times a bracket with a
+    finite limit; this is that bracket.  ``x0`` may hold scalars or
+    equal-length arrays.
+    """
+    a, b, c, d = x0.a, x0.b, x0.c, x0.d
+    w2, z2 = (np.square(np.hypot(v.real, v.imag)) for v in (x0.w, x0.z))
+    if isinstance(channel, IndependentDecay):
+        if channel.nbar == 0.0:
+            sa = 1.0 if channel.gamma_a == 0.0 else 0.0
+            sb = 1.0 if channel.gamma_b == 0.0 else 0.0
+            if inner:
+                return w2 - ((1.0 - sb) * a + b) * ((1.0 - sa) * a + c)
+            d_inf = (1.0 - sa) * (1.0 - sb) * a + (1.0 - sb) * c + (1.0 - sa) * b + d
+            return z2 - a * d_inf
+        q = channel.nbar / (2.0 * channel.nbar + 1.0)
+        pa = a + b if channel.gamma_a == 0.0 else q
+        pb = a + c if channel.gamma_b == 0.0 else q
+        if inner:
+            return -(pa * (1.0 - pb)) * ((1.0 - pa) * pb)
+        return -(pa * pb) * ((1.0 - pa) * (1.0 - pb))
+    z_kept = isinstance(channel, CollectiveDephasing)
+    return -(b * c) if inner else (z2 - a * d if z_kept else -(a * d))
+
+
 def _x_negativity_at(x0, channel, times):
     return _pt_blocks(x_closed_curves(x0, channel, times))[0]
 
@@ -178,7 +208,8 @@ def death_time_scalar(x0, channel, horizon, tol):
     negativity at 0 and at the horizon, the limit-margin verdict, a
     doubling bracket past the horizon and a scalar bisection.
 
-    It reuses the library's closed forms and block margins.
+    It reuses the library's closed forms, and takes its block margins from
+    :func:`limit_margin`.
     """
     with np.errstate(over="ignore"):
         curves = x_closed_curves(x0, channel, np.array([0.0, horizon]))
@@ -196,7 +227,7 @@ def death_time_scalar(x0, channel, horizon, tol):
     if not alive_start:
         return report(VERDICT_NEVER)
     was_inner = bool(inner_pt[0] < outer_pt[0])
-    if _limit_margin(x0, channel, was_inner) >= 0.0:
+    if limit_margin(x0, channel, was_inner) >= 0.0:
         undamped = isinstance(channel, CollectiveDephasing) and not was_inner
         return report(VERDICT_PERSISTENT if undamped else VERDICT_ASYMPTOTIC)
     lo, hi = 0.0, horizon
@@ -236,7 +267,7 @@ def death_time_grid_scalar(x0, channel, horizon, tol):
         return report(VERDICT_NEVER)
     peak = int(np.argmax(neg))
     was_inner = bool(inner_pt[peak] < outer_pt[peak])
-    if _limit_margin(x0, channel, was_inner) >= 0.0:
+    if limit_margin(x0, channel, was_inner) >= 0.0:
         undamped = isinstance(channel, CollectiveDephasing) and not was_inner
         return report(VERDICT_PERSISTENT if undamped else VERDICT_ASYMPTOTIC)
     if alive[-1]:

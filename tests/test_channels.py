@@ -57,6 +57,7 @@ from _oracles import (
     collective_jumps,
     decay_jumps,
     dephase_jumps,
+    limit_margin,
     lindblad_matrix,
     rk4_evolve,
 )
@@ -532,9 +533,16 @@ def test_memo_stays_within_its_bound():
     for k in range(200):  # each rate a new generator, with a shortened last step
         propagate_numeric(rho, IndependentDecay(1.0 + k / 64, 0.5), 0.7305, dt=1e-3)
         assert 0 < held() <= channels._POWERS_HELD
-    # a run of more squares than the bound holds is not kept, and evicts the rest
+    # a run of about 1,000 squares, more than the bound holds, is not kept, so
+    # it evicts none of the warm entries (kept, it would evict all, itself too)
+    warm = list(channels._POWERS)
     propagate_numeric(rho, IndependentDecay(1.0, 1.0), 1.0, dt=5.6e-309)
-    assert held() <= channels._POWERS_HELD
+    assert list(channels._POWERS) == warm
+    clear_memo()
+    propagate_numeric(rho, IndependentDecay(1.0, 0.5), 0.7305, dt=1e-3)
+    warm = list(channels._POWERS)
+    propagate_numeric(rho, CollectiveDephasing(1.0), 1e100, dt=1e-10)
+    assert list(channels._POWERS)[:len(warm)] == warm and held() <= channels._POWERS_HELD
 
 
 def test_memo_matrices_are_read_only():
@@ -710,6 +718,39 @@ def test_closed_semigroup_property():
         assert abs(direct.d - chained.d) < 1e-12
         assert abs(direct.w - chained.w) < 1e-12
         assert abs(direct.z - chained.z) < 1e-12
+
+
+MARGIN_CHANNELS = [
+    IndependentDecay(1.0, 0.7), IndependentDecay(0.0, 1.3), IndependentDecay(0.8, 0.0),
+    IndependentDecay(1.0, 0.7, 0.3), IndependentDecay(0.0, 1.0, 0.5),
+    IndependentDecay(1.0, 0.0, 2.0), IndependentDephasing(1.0, 0.5),
+    IndependentDephasing(0.0, 1.0), CollectiveDephasing(0.8),
+]
+
+
+@pytest.mark.parametrize("channel", MARGIN_CHANNELS, ids=format_channel_literal)
+def test_limit_margins_match_the_oracle(channel):
+    # seeded X states, states with a frozen qubit's populations on an edge
+    # (a limit margin of 0 where a frozen qubit stays unexcited or excited),
+    # and the pure family sqrt(a)|ee> + sqrt(1-a)|gg>, whose margin at exactly
+    # a = 1/2 is 0 under zero-temperature decay; as columns (the death
+    # kernel's form) and one state at a time (death_time_scalar's)
+    states = [random_x(seed) for seed in range(300)]
+    states += [make_x(*pops, 0.2 * (min(pops[0], pops[3]) > 0), 0.2 * (min(pops[1], pops[2]) > 0))
+               for pops in ((0.0, 0.0, 0.6, 0.4), (0.6, 0.4, 0.0, 0.0), (0.6, 0.0, 0.4, 0.0),
+                            (0.0, 0.6, 0.0, 0.4), (0.5, 0.0, 0.0, 0.5), (0.0, 0.5, 0.5, 0.0))]
+    states += [make_x(a, 0.0, 0.0, 1.0 - a, np.sqrt(a * (1.0 - a)), 0.0)
+               for a in (0.25, 0.5, 0.75)]
+    cols = XState(*(np.array([getattr(x, f) for x in states]) for f in "abcdwz"))
+    for inner, got in zip((False, True), channel._limit_margins(cols)):
+        want = np.array([limit_margin(x, channel, inner) for x in states])
+        # the oracle's values, hence its signs; a margin that depends on no
+        # state is one scalar for all rows
+        np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
+        one_by_one = [channel._limit_margins(x)[inner] for x in states]
+        np.testing.assert_array_equal(np.sign(one_by_one), np.sign(want))
+    if channel == IndependentDecay(1.0, 0.7):  # a = 1/2 sits on the boundary: margin 0
+        assert channel._limit_margins(cols)[1][-2] == 0.0
 
 
 # --- asymptotic sets --------------------------------------------------------

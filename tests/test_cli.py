@@ -572,10 +572,7 @@ PATH_FLAGS = {"out", "config", "set_file"}  # read as text, refused only where o
 
 def run_main(argv, capsys):
     """``cli.main(argv)`` in process: (exit code, stdout, stderr)."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse refuses the argv
-        code = exc.code
+    code = cli.main(argv)  # argparse refuses through main too, never by SystemExit
     out, err = capsys.readouterr()
     return code, out, err
 
