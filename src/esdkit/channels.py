@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -53,7 +54,6 @@ from .states import (
     SIGMA_Z,
     ToleranceConfig,
     XState,
-    _X_PATTERN,
     _checked_stack,
     _frozen,
     _literal_numbers,
@@ -86,6 +86,21 @@ __all__ = [
     "parse_channel_literal",
     "format_channel_literal",
 ]
+
+
+def _float_fields(channel) -> None:
+    """Store each field of a catalog channel as a Python float; a bool, a
+    non-real or a number past float range raises :class:`OutOfRangeError`."""
+    for f in fields(channel):
+        value = getattr(channel, f.name)
+        if type(value) is float:  # as a literal parses; the checks cost twice the rest of __init__
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise OutOfRangeError(f"{f.name} must be a real number, got {type(value).__name__}")
+        try:
+            object.__setattr__(channel, f.name, float(value))
+        except OverflowError:
+            raise OutOfRangeError(f"{f.name} is too large for a float") from None
 
 
 def _require_rates(pairs: dict[str, float], derived: dict[str, float]) -> None:
@@ -159,6 +174,7 @@ class IndependentDecay:
     _outer_undamped = False
 
     def __post_init__(self) -> None:
+        _float_fields(self)
         scale = _thermal_scale(self.nbar)
         _require_rates({"gamma_a": self.gamma_a, "gamma_b": self.gamma_b},
                        {"gamma_a*(2*nbar+1)": self.gamma_a * scale,
@@ -231,6 +247,7 @@ class IndependentDephasing:
     _outer_undamped = False
 
     def __post_init__(self) -> None:
+        _float_fields(self)
         _require_rates({"kappa_a": self.kappa_a, "kappa_b": self.kappa_b},
                        {"kappa_a+kappa_b": self.kappa_a + self.kappa_b})
         if max(self.kappa_a, self.kappa_b) / 2.0 == 0.0:  # the jump rates, 5e-324 / 2 = 0
@@ -268,6 +285,7 @@ class CollectiveDephasing:
     _outer_undamped = True  # z spans the decoherence-free subspace
 
     def __post_init__(self) -> None:
+        _float_fields(self)
         _require_rates({"kappa_c": self.kappa_c}, {"2*kappa_c": 2.0 * self.kappa_c})
 
     @property
@@ -565,11 +583,20 @@ def propagate_x_closed(x: XState, channel: ChannelSpec, t: float) -> XState:
                   complex(w[0]), complex(z[0]))
 
 
+def _require_densities(states: tuple, what: str) -> None:
+    for entry in states:
+        if not isinstance(entry, DensityMatrix):
+            raise ValidationError(f"{what} must be DensityMatrix, got {type(entry).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class SinglePoint:
     """Asymptotic set containing exactly one state."""
 
     state: DensityMatrix
+
+    def __post_init__(self) -> None:
+        _require_densities((self.state,), "single point")
 
 
 @dataclass(frozen=True)
@@ -583,6 +610,15 @@ class XFamily:
     w_zero: bool
     z_zero: bool
 
+    @functools.cached_property
+    def _mask(self) -> np.ndarray:
+        """The entries members may occupy, read-only: the diagonal, ``w``'s
+        pair unless ``w_zero`` and ``z``'s pair unless ``z_zero``."""
+        w, z = not self.w_zero, not self.z_zero
+        free = np.array([[1, 0, 0, w], [0, 1, z, 0], [0, z, 1, 0], [w, 0, 0, 1]], dtype=bool)
+        free.setflags(write=False)
+        return free
+
 
 @dataclass(frozen=True, eq=False)
 class ExplicitSamples:
@@ -591,15 +627,22 @@ class ExplicitSamples:
     states: tuple
 
     def __post_init__(self) -> None:
-        for entry in self.states:
-            if not isinstance(entry, DensityMatrix):
-                raise ValidationError(
-                    f"explicit samples must be DensityMatrix, got {type(entry).__name__}"
-                )
         object.__setattr__(self, "states", tuple(self.states))
+        _require_densities(self.states, "explicit samples")
 
 
 AsymptoticSet = Union[SinglePoint, XFamily, ExplicitSamples]
+
+
+def _finite_states(aset: AsymptoticSet) -> tuple | None:
+    """A finite set's states, ``None`` for an :class:`XFamily`; refuses any other object."""
+    if isinstance(aset, SinglePoint):
+        return (aset.state,)
+    if isinstance(aset, ExplicitSamples):
+        return aset.states
+    if isinstance(aset, XFamily):
+        return None
+    raise ValidationError(f"unknown asymptotic set type {type(aset).__name__}")
 
 
 def thermal_product(nbar: float) -> DensityMatrix:
@@ -628,23 +671,16 @@ def asymptotic_set(channel: ChannelSpec) -> AsymptoticSet:
 def set_contains(
     aset: AsymptoticSet, rho: DensityMatrix, atol: float = 1e-8
 ) -> bool:
-    """Entrywise membership test with absolute tolerance ``atol``."""
-    m = rho.matrix
-    if isinstance(aset, SinglePoint):
-        return float(np.abs(m - aset.state.matrix).max()) <= atol
-    if isinstance(aset, XFamily):
-        if float(np.abs(np.where(_X_PATTERN, 0.0, m)).max()) > atol:
-            return False
-        if aset.w_zero and abs(m[0, 3]) > atol:
-            return False
-        if aset.z_zero and abs(m[1, 2]) > atol:
-            return False
-        return True
-    if isinstance(aset, ExplicitSamples):
-        return any(
-            float(np.abs(m - member.matrix).max()) <= atol for member in aset.states
-        )
-    raise ValidationError(f"unknown asymptotic set type {type(aset).__name__}")
+    """Entrywise membership test with absolute tolerance ``atol``: a finite
+    set holds ``rho`` when one of its states is within ``atol`` of it in every
+    entry, an :class:`XFamily` when every entry off its members' pattern is.
+    An ``atol`` that is NaN or negative raises :class:`OutOfRangeError`."""
+    if not atol >= 0.0:  # NaN compares False
+        raise OutOfRangeError(f"atol={atol!r} must be nonnegative")
+    states = _finite_states(aset)
+    if states is None:
+        return float(np.abs(np.where(aset._mask, 0.0, rho.matrix)).max()) <= atol
+    return any(float(np.abs(rho.matrix - member.matrix).max()) <= atol for member in states)
 
 
 def format_channel_literal(channel: ChannelSpec) -> str:

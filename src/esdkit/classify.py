@@ -33,9 +33,8 @@ from ._floattext import format_rows
 from .channels import (
     AsymptoticSet,
     ChannelSpec,
-    ExplicitSamples,
-    SinglePoint,
     XFamily,
+    _finite_states,
     asymptotic_set,
     is_catalog,
 )
@@ -209,13 +208,14 @@ def _member_chunks(aset: AsymptoticSet | np.ndarray, n_samples: int,
     """The members of :func:`sample_asymptotic`, or of an (n, 4, 4) member
     array, in order, as stacks of at most ``_CLASSIFY_MEMBERS``; X-family
     members come straight from parameter arrays."""
-    if isinstance(aset, XFamily):
-        return _family_chunks(aset, n_samples, seed)
-    if isinstance(aset, np.ndarray) and (aset.ndim != 3 or aset.shape[1:] != (4, 4)):
+    if not isinstance(aset, np.ndarray):
+        states = _finite_states(aset)
+        if states is None:
+            return _family_chunks(aset, n_samples, seed)
+        aset = np.array([m.matrix for m in states])
+    elif aset.ndim != 3 or aset.shape[1:] != (4, 4):
         raise ValidationError(f"expected an (n, 4, 4) member array, got shape {aset.shape}")
-    stack = aset if isinstance(aset, np.ndarray) else np.array(
-        [m.matrix for m in sample_asymptotic(aset, n_samples, seed)])
-    return (stack[i:i + _CLASSIFY_MEMBERS] for i in range(0, len(stack), _CLASSIFY_MEMBERS))
+    return (aset[i:i + _CLASSIFY_MEMBERS] for i in range(0, len(aset), _CLASSIFY_MEMBERS))
 
 
 def _check_sampling(n_samples: int, seed: int) -> None:
@@ -229,21 +229,19 @@ def sample_asymptotic(
 ) -> list[DensityMatrix]:
     """Concrete members of an asymptotic set.
 
-    Single points and explicit sets return their states as-is; X families
-    return the deterministic extreme members (simplex vertices and face
-    centers, each with coherences at 0 and at the positivity bound) plus
-    ``n_samples`` seeded uniform interior members.  A negative ``n_samples``
-    or ``seed`` raises :class:`~esdkit.errors.OutOfRangeError`.
+    A finite set (a single point or explicit samples) returns its states
+    as-is; an X family returns the deterministic extreme members (simplex
+    vertices and face centers, each with coherences at 0 and at the
+    positivity bound) plus ``n_samples`` seeded uniform interior members.
+    A negative ``n_samples`` or ``seed`` raises
+    :class:`~esdkit.errors.OutOfRangeError`.
     """
     _check_sampling(n_samples, seed)
-    if isinstance(aset, SinglePoint):
-        return [aset.state]
-    if isinstance(aset, ExplicitSamples):
-        return list(aset.states)
-    if isinstance(aset, XFamily):
-        return [_unchecked_density(m) for chunk in _family_chunks(aset, n_samples, seed)
-                for m in chunk]
-    raise ValidationError(f"unknown asymptotic set type {type(aset).__name__}")
+    states = _finite_states(aset)
+    if states is not None:
+        return list(states)
+    return [_unchecked_density(m) for chunk in _family_chunks(aset, n_samples, seed)
+            for m in chunk]
 
 
 def classify_set(
@@ -256,10 +254,12 @@ def classify_set(
 
     ``aset`` may also be an (n, 4, 4) array of explicit members, classified
     as the :class:`~esdkit.channels.ExplicitSamples` of their matrices.
-    Family is "one" for a single point (or an explicit set of one state)
-    and "multi" otherwise.  The case follows the evidence labels: all
-    interior -> i; all separable with boundary contact -> ii; all
-    entangled -> iii; both entangled and separable members -> iv.
+    Family comes from the member count alone: "one" exactly when there is
+    one member (a single point, or an explicit set or array of one state),
+    "multi" otherwise; an X family always has its 8 or more probe members.
+    The case follows the evidence labels: all interior -> i; all separable
+    with boundary contact -> ii; all entangled -> iii; both entangled and
+    separable members -> iv.
 
     Members are built and classified in one batched pass over (k, 4, 4)
     stacks of at most ``_CLASSIFY_MEMBERS``, so that memory stays flat in
@@ -282,10 +282,7 @@ def classify_set(
     if not count:
         raise EmptySetError("asymptotic set has no members to classify")
     codes, margins, rank_margins, *fields = map(np.concatenate, zip(*parts))
-    single = isinstance(aset, SinglePoint) or (
-        isinstance(aset, (ExplicitSamples, np.ndarray)) and count == 1
-    )
-    family = FAMILY_ONE if single else FAMILY_MULTI
+    family = FAMILY_ONE if count == 1 else FAMILY_MULTI
     interior, boundary, entangled = np.bincount(codes, minlength=3) > 0
     if entangled:
         case = "iv" if interior or boundary else "iii"

@@ -49,12 +49,12 @@ import numpy as np
 from ._floattext import format_rows
 from .channels import (
     ChannelSpec,
-    SinglePoint,
     asymptotic_set,
     is_catalog,
     liouvillian,
     max_rate,
     x_closed_curves,
+    _finite_states,
     _revalidate,
     _rk4_samples,
     _step_plan,
@@ -494,21 +494,20 @@ def estimate_asymptote(
     """The long-time limit of ``state0``: its exact projection onto
     :func:`~esdkit.channels.asymptotic_set`, with no propagation.
 
-    A :class:`~esdkit.channels.SinglePoint` set (decay) is its state; an
-    :class:`~esdkit.channels.XFamily` keeps the diagonal of ``rho0`` and each
-    coherence, ``w`` at 0-based ``[0, 3]`` and ``z`` at ``[1, 2]``, that it does
-    not force to zero (collective dephasing keeps ``z``).  Every other entry
-    decays to 0.  A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
+    A finite set, decay's :class:`~esdkit.channels.SinglePoint`, gives its
+    own state; an :class:`~esdkit.channels.XFamily` keeps the entries of
+    ``rho0`` its members may occupy: the diagonal and each coherence, ``w``
+    at 0-based ``[0, 3]`` and ``z`` at ``[1, 2]``, that it does not force to
+    zero (collective dephasing keeps ``z``).  Every other entry decays to
+    0.  A bare ``XState`` is validated as :func:`~esdkit.states.make_x` would.
     """
     target = asymptotic_set(channel)  # refuses a custom channel
     x0 = _x_form(state0, tol)
-    if isinstance(target, SinglePoint):
-        return target.state
+    states = _finite_states(target)
+    if states is not None:
+        return states[0]
     m = (embed_x(x0) if isinstance(state0, XState) else state0).matrix
-    keep = np.eye(4, dtype=bool)
-    keep[0, 3] = keep[3, 0] = not target.w_zero
-    keep[1, 2] = keep[2, 1] = not target.z_zero
-    return _unchecked_density(np.where(keep, m, 0.0))
+    return _unchecked_density(np.where(target._mask, m, 0.0))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -181,17 +181,13 @@ def make_density(entries, tol: ToleranceConfig = DEFAULT_TOL) -> DensityMatrix:
 
 
 def _averaged(stack: np.ndarray) -> tuple:
-    """Each member's asymmetry ``|m - m^dag|``, average and its trace, the
-    real diagonal summed left to right as :func:`make_x` sums.  A non-finite
-    entry makes its member's asymmetry NaN or inf."""
-    # non-finite members and finite ones whose differences or trace overflow
-    # fail the checks; halving first keeps a Hermitian pair near 1e308 finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = stack.conj().transpose(0, 2, 1)
-        asym = np.abs(stack - adjoint).max(axis=(1, 2))
-        hermitian = 0.5 * stack + 0.5 * adjoint
-        diag = hermitian.diagonal(axis1=1, axis2=2).real
-        return asym, hermitian, diag[:, 0] + diag[:, 1] + diag[:, 2] + diag[:, 3]
+    """Each member's asymmetry ``|m - m^dag|`` and average, members square of
+    any size.  A non-finite entry makes its member's asymmetry NaN or inf."""
+    # callers ignore overflow: non-finite members and finite ones whose
+    # differences overflow fail the checks; halving first keeps a Hermitian
+    # pair near 1e308 finite
+    adjoint = stack.conj().transpose(0, 2, 1)
+    return np.abs(stack - adjoint).max(axis=(1, 2)), 0.5 * stack + 0.5 * adjoint
 
 
 def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = False) -> tuple:
@@ -203,7 +199,10 @@ def _checked_stack(stack: np.ndarray, tol: ToleranceConfig, normalize: bool = Fa
     Returns ``(hermitian, lowest, i, kind, value)``: the averages and lowest
     eigenvalues up to the first failure ``i`` (``len(stack)`` if none), its
     fault and the asymmetry, trace or eigenvalue it failed on (else ``None``)."""
-    asym, hermitian, trace = _averaged(stack)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace fails too
+        asym, hermitian = _averaged(stack)
+        diag = hermitian.diagonal(axis1=1, axis2=2).real
+        trace = diag[:, 0] + diag[:, 1] + diag[:, 2] + diag[:, 3]  # as make_x sums
     # a NaN asymmetry or trace compares False, so it fails
     cheap_bad = ~(asym <= tol.eps_psd) | ~(np.abs(trace - 1.0) <= tol.eps_trace)
     # only members before the first to fail a cheaper check need eigenvalues
@@ -249,7 +248,8 @@ def _density_stack(
 
 def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
     """Check a matrix's entries and asymmetry, not its spectrum; return its Hermitian average."""
-    (asym,), (hermitian,), _ = _averaged(matrix[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        (asym,), (hermitian,) = _averaged(matrix[None])
     kind = None if asym <= tol.eps_psd else "asym" if np.isfinite(matrix).all() else "finite"
     _raise_fault(kind, float(asym), tol, what)
     return hermitian

@@ -838,6 +838,30 @@ def test_set_contains_explicit_samples():
     assert not set_contains(members, thermal_product(1.0))
     with pytest.raises(ValidationError):
         ExplicitSamples((np.eye(4) / 4.0,))
+    # states from an iterator are kept, not spent by the check
+    assert len(ExplicitSamples(iter(members.states)).states) == 2
+
+
+@pytest.mark.parametrize("atol", [np.nan, -1e-300, -np.inf])
+def test_set_contains_refuses_a_nan_or_negative_atol(atol):
+    # a NaN atol once made every state a member of an X family, and a
+    # negative one left even exact members outside every set
+    rho = thermal_product(0.0)
+    for aset in (SinglePoint(rho), XFamily(True, True), ExplicitSamples((rho,))):
+        assert set_contains(aset, rho, atol=0.0)
+        with pytest.raises(OutOfRangeError, match="^atol="):
+            set_contains(aset, rho, atol=atol)
+
+
+def test_single_point_checks_its_state():
+    for bad in ("x", np.eye(4) / 4.0, None):
+        with pytest.raises(ValidationError, match="^single point must be DensityMatrix"):
+            SinglePoint(bad)
+
+
+def test_x_family_mask_is_read_only():
+    with pytest.raises(ValueError):
+        XFamily(w_zero=True, z_zero=False)._mask[0, 3] = True
 
 
 def test_long_time_numeric_lands_in_asymptotic_set():
@@ -860,6 +884,30 @@ def test_channel_literal_round_trip():
         CollectiveDephasing(1.5),
     ):
         assert parse_channel_literal(format_channel_literal(channel)) == channel
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.float64])
+def test_channel_literal_round_trip_from_numeric_fields(kind):
+    for channel in (IndependentDecay(kind(1), kind(2), kind(3)),
+                    IndependentDephasing(kind(1), kind(0)), CollectiveDephasing(kind(2))):
+        assert all(type(value) is float for value in vars(channel).values())
+        assert parse_channel_literal(format_channel_literal(channel)) == channel
+    assert format_channel_literal(IndependentDecay(kind(1), kind(1))) == "decay:1.0,1.0,0.0"
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: IndependentDecay("1", -1), "gamma_a"),
+    (lambda: IndependentDecay(1, True), "gamma_b"),
+    (lambda: IndependentDecay(1, 1, nbar=10 ** 400), "nbar"),
+    (lambda: IndependentDephasing(1j, 1), "kappa_a"),
+    (lambda: IndependentDephasing(1, None), "kappa_b"),
+    (lambda: CollectiveDephasing(True), "kappa_c"),
+    (lambda: CollectiveDephasing(np.bool_(True)), "kappa_c"),
+], ids=["str", "bool", "huge-int", "complex", "none", "collective-bool", "numpy-bool"])
+def test_catalog_fields_must_be_real_numbers(make, field):
+    # refused by name before any rate check, not as a TypeError
+    with pytest.raises(OutOfRangeError, match=f"^{field} "):
+        make()
 
 
 def test_channel_literal_forms():

@@ -146,6 +146,16 @@ def test_synthetic_entangled_single_point():
     assert label.evidence[0].region.label == LABEL_ENTANGLED
 
 
+def test_family_comes_from_the_member_count():
+    rho = embed_x(bell("phi+"))
+    for aset in (SinglePoint(rho), ExplicitSamples((rho,)), rho.matrix[None]):
+        assert classify_set(aset).family == FAMILY_ONE
+    # an X family always yields its 8 or more probe members
+    for w_zero in (False, True):
+        label = classify_set(XFamily(w_zero, True), n_samples=0)
+        assert (label.family, len(label.evidence) >= 8) == (FAMILY_MULTI, True)
+
+
 def test_explicit_samples_cardinality_drives_family():
     one = classify_set(ExplicitSamples((maximally_mixed(),)))
     assert (one.family, one.case) == (FAMILY_ONE, "i")

@@ -86,6 +86,21 @@ def test_eigenvalues_hermitian_against_charpoly_oracle():
         np.testing.assert_allclose(evals, charpoly_eigs(h), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_eigenvalues_hermitian_on_any_square_size(n):
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = g + g.conj().T + 1e-14 * rng.normal(size=(n, n))  # asymmetric within eps_psd
+    hermitian = 0.5 * m + 0.5 * m.conj().T
+    np.testing.assert_array_equal(eigenvalues_hermitian(m), np.linalg.eigvalsh(hermitian))
+    with pytest.raises(NotHermitianError):
+        eigenvalues_hermitian(m + np.triu(np.ones((n, n)), 1))
+    for bad in (np.nan, np.inf):
+        m[n - 1, 0] = bad
+        with pytest.raises(OutOfRangeError):
+            eigenvalues_hermitian(m)
+
+
 def test_eigenvalues_hermitian_rejects_asymmetry():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0

@@ -37,15 +37,21 @@ from esdkit import (
     DEFAULT_TOL,
     ExplicitSamples,
     IndependentDecay,
+    IndependentDephasing,
+    SinglePoint,
     ToleranceConfig,
+    XFamily,
     XState,
     asymptotic_set,
+    bell,
     classify_channel,
     cli,
     death_report_from_json,
     death_report_to_json,
     death_time,
+    eigenvalues_hermitian,
     embed_x,
+    format_channel_literal,
     make_x,
     max_rate,
     parse_channel_literal,
@@ -54,8 +60,11 @@ from esdkit import (
     project_x,
     propagate_numeric,
     propagate_x_closed,
+    random_density,
+    reduce_qubit,
     scenario_from_json,
     scenario_to_json,
+    set_contains,
     simulate,
     trajectory_to_csv,
     x_closed_curves,
@@ -545,6 +554,14 @@ def test_corpus_library_calls():
         lambda: simulate(make_x(0.5, 0, 0, 0.5), CollectiveDephasing(5e-324), 1.0, dt=None),
         lambda: propagate_numeric(embed_x(make_x(0.5, 0, 0, 0.5)), CollectiveDephasing(5e-324),
                                   1.0, dt=None),
+        # catalog fields that are no real number, once a TypeError or a bool literal
+        lambda: IndependentDecay("1", 1),
+        lambda: IndependentDephasing(1j, 1),
+        lambda: CollectiveDephasing(True),
+        # a NaN atol, once making every state a member of an X family
+        lambda: set_contains(XFamily(True, True), random_density(3), atol=math.nan),
+        # a state that is no DensityMatrix, once an AttributeError when classified
+        lambda: SinglePoint("x"),
     ]
     for call in calls:
         with warnings.catch_warnings(record=True) as caught:
@@ -552,6 +569,12 @@ def test_corpus_library_calls():
             with pytest.raises(ValueError):
                 call()
         assert not caught
+    # a 2x2 matrix, once an IndexError from a 4x4 trace
+    for matrix in (np.eye(2) / 2, reduce_qubit(embed_x(bell("phi+")), "A").matrix):
+        assert np.array_equal(eigenvalues_hermitian(matrix), [0.5, 0.5])
+    # a literal from numpy fields, once "decay:np.float64(1.0),1,0.0"
+    literal = format_channel_literal(IndependentDecay(np.float64(1.0), 1))
+    assert parse_channel_literal(literal) == IndependentDecay(1.0, 1.0)
 
 
 def test_corpus_under_python_O(tmp_path, monkeypatch):
@@ -579,28 +602,47 @@ def test_package_has_no_assert_statements():
 
 
 CATALOG_NAMES = {"IndependentDecay", "IndependentDephasing", "CollectiveDephasing"}
+SET_NAMES = {"SinglePoint", "XFamily", "ExplicitSamples"}
+
+
+def package_trees_but_channels():
+    """(path, AST) of every module of the package but channels.py."""
+    for path in sorted(Path(esdkit.__file__).parent.glob("*.py")):
+        if path.name != "channels.py":
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def isinstance_names(tree) -> set:
+    """Every name or attribute in the class arguments of the tree's isinstance calls."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
+            for arg in node.args[1:] for name in
+            {sub.id for sub in ast.walk(arg) if isinstance(sub, ast.Name)}
+            | {sub.attr for sub in ast.walk(arg) if isinstance(sub, ast.Attribute)}}
 
 
 def test_only_channels_knows_the_catalog_classes():
     # what differs between catalog channels lives on their classes in
     # channels.py; the package only re-exports them, and no other module
     # names one, so none can switch on a channel's type
-    for path in sorted(Path(esdkit.__file__).parent.glob("*.py")):
-        if path.name == "channels.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in package_trees_but_channels():
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
-        tested = {name for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
-                  for arg in node.args[1:] for name in
-                  {sub.id for sub in ast.walk(arg) if isinstance(sub, ast.Name)}
-                  | {sub.attr for sub in ast.walk(arg) if isinstance(sub, ast.Attribute)}}
+        tested = isinstance_names(tree)
         assert not tested & CATALOG_NAMES, path
         if path.name != "__init__.py":
             assert not (named | imported) & CATALOG_NAMES, path
+
+
+def test_only_channels_tests_an_asymptotic_sets_type():
+    # channels.py reads a set one way: a finite set's states, or an X
+    # family's mask; every other module asks it, and none switches on the
+    # set's type itself
+    testing = [path.name for path, tree in package_trees_but_channels()
+               if isinstance_names(tree) & SET_NAMES]
+    assert testing == []
 
 
 @pytest.mark.parametrize("argv, code", [
