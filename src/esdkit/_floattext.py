@@ -1,10 +1,11 @@
 """``repr`` of every float64 in a table, byte for byte, without a call per float.
 
 Digits come from Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020) on ``uint64`` arrays, each 128-bit product split into 32-bit
-limbs: the shortest decimal that reads back as the float, the closer of two,
-ties to even, as CPython's ``dtoa.c``.  Unlike Java's ``Double.toString``,
-subnormals keep one digit and the shorter candidate is tried at every length.
+doubles", 2020) on ``uint64`` arrays, one 128-bit product per float by 32-bit
+limbs, its rounding interval's ends by shifts and carries: the shortest decimal
+that reads back as the float, the closer of two, ties to even, as CPython's
+``dtoa.c``.  Unlike Java's ``Double.toString``, subnormals keep one digit and
+the shorter candidate is tried at every length.
 Each float's cell is row-major little-endian ``uint64`` words, with no
 transpose: word 0 holds the sign, the ``0.000`` of small positional numbers
 (by decimal exponent), the first digit and its dot byte; words 1-4 each hold
@@ -32,13 +33,13 @@ _KERNEL_FROM = 1024
 
 def _g_limbs() -> np.ndarray:
     """Schubfach's g = floor(10**-k / 2**r) + 1 in [2**125, 2**126), k = -324 .. 292, a
-    column each: g1 = g >> 63 and the 32-bit limbs of g1 and of g0 = g mod 2**63."""
+    column each: g1 = g >> 63, the 32-bit limbs of g1 and of g0 = g mod 2**63, and g0."""
     rows = []
     for k in range(-324, 293):
         p = 10 ** abs(k)
         g = (p << 126 >> p.bit_length() if k <= 0 else (1 << 125 + p.bit_length()) // p) + 1
         g1, g0 = g >> 63, g & (2**63 - 1)
-        rows.append((g1, g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF))
+        rows.append((g1, g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF, g0))
     return np.array(rows, dtype=_U64).T.copy()
 
 
@@ -49,9 +50,17 @@ def _mulhi(ah, al, bh, bl):
     return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32)
 
 
+def _odd(y1, y0, x1):
+    """g * cp >> 127 rounded to odd, given g1 * cp in words and (g0 * cp) >> 64."""
+    z = (y0 >> 1) + x1
+    return y1 + (z >> 63) | ((z & _M63) + _M63) >> 63
+
+
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, k): f * 10**k is ``repr``'s decimal for each positive finite float,
-    given by its bits; f may end in zeros."""
+    given by its bits; f may end in zeros.  Each 63-bit word of g is multiplied
+    by ``cp`` once; the interval's ends ``cp + 2**e`` and ``cp - 2**e`` add or
+    take ``g << e`` from those products word by word, with exact carries."""
     bq = (bits >> 52).astype(np.int64)
     t = bits & _U64(0xFFFFFFFFFFFFF)
     c = t | ((bq > 0).astype(_U64) << 52)
@@ -60,13 +69,19 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = (t == 0) & (bq > 1)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(_U64)
-    g1, g1h, g1l, g0h, g0l = _G.take(k + 324, axis=1)
-    cb = c << 2
+    g1, g1h, g1l, g0h, g0l, g0 = _G.take(k + 324, axis=1)
     # vb and the ends of its rounding interval, scaled by 4 * 10**-k
-    cps = np.stack((cb, cb - 2 + irregular, cb + 2)) << h
-    cph, cpl = cps >> 32, cps & _M32
-    z = (g1 * cps >> 1) + _mulhi(g0h, g0l, cph, cpl)
-    vb, vbl, vbr = _mulhi(g1h, g1l, cph, cpl) + (z >> 63) | ((z & _M63) + _M63) >> 63
+    cp = c << _U64(2) << h
+    cph, cpl = cp >> 32, cp & _M32
+    y1, y0, x1, x0 = _mulhi(g1h, g1l, cph, cpl), g1 * cp, _mulhi(g0h, g0l, cph, cpl), g0 * cp
+    vb = _odd(y1, y0, x1)
+    # a word w of g shifted by e spans w << e and w >> r; 2 <= h <= 5 keeps e, r in range
+    e = h + _U64(1)
+    y0r, x0r, r = y0 + (g1 << e), x0 + (g0 << e), _U64(64) - e
+    vbr = _odd(y1 + (g1 >> r) + (y0r < y0), y0r, x1 + (g0 >> r) + (x0r < x0))
+    e, r = e - irregular, r + irregular
+    y0l, x0l = y0 - (g1 << e), x0 - (g0 << e)
+    vbl = _odd(y1 - (g1 >> r) - (y0l > y0), y0l, x1 - (g0 >> r) - (x0l > x0))
     out = c & 1  # an odd c excludes the interval's ends
     s = vb >> 2
     sp10 = s // 10 * 10

@@ -129,23 +129,25 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
-def _paired(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _paired(op: np.ndarray, matmul: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """``(L, D(L))``, both read-only, with the dissipator ``D(L) = L kron conj(L) -
-    (L^dag L kron I + I kron (L^dag L)^T) / 2``, non-finite if L is too large for it."""
+    (L^dag L kron I + I kron (L^dag L)^T) / 2``, non-finite if L is too large for it.
+    Without ``matmul``, for the catalog's operators, whose entries 0, ±1 and 1/2
+    make every product exact, ``L^dag L`` is an elementwise sum: no BLAS at import."""
     op = _frozen(op)
     # a block: np.errstate as a decorator costs several times more per call
     with np.errstate(over="ignore", invalid="ignore"):
-        anti = op.conj().T @ op
+        anti = op.conj().T @ op if matmul else (op.conj()[:, :, None] * op[:, None]).sum(axis=0)
         d = _kron(op, op.conj()) - 0.5 * (_kron(anti, _EYE_4) + _kron(_EYE_4, anti.T))
     return op, _frozen(d)
 
 
 # the catalog's jump operators as (on qubit A, on qubit B), each an (L, D(L)) pair
 _LOWER, _RAISE, _PHASE = (
-    (_paired(np.kron(op, IDENTITY_2)), _paired(np.kron(IDENTITY_2, op)))
+    (_paired(np.kron(op, IDENTITY_2), False), _paired(np.kron(IDENTITY_2, op), False))
     for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z)
 )
-_INVERSION = _paired(0.5 * (_PHASE[0][0] + _PHASE[1][0]))
+_INVERSION = _paired(0.5 * (_PHASE[0][0] + _PHASE[1][0]), False)
 
 
 def _dephased(x: XState, tau: np.ndarray, rate: float, z_kept: bool) -> tuple[np.ndarray, ...]:
@@ -309,6 +311,7 @@ class CustomChannel:
 
     jumps: tuple = field(repr=False)
     _terms: tuple = field(init=False, repr=False)  # (L, D(L), rate), as _jump_terms
+    _generator: np.ndarray = field(init=False, repr=False)  # read-only; liouvillian copies it
 
     def __post_init__(self) -> None:
         if len(self.jumps) == 0:
@@ -331,14 +334,16 @@ class CustomChannel:
                 )
             top = max(top, rate)
             normalized.append((*_paired(m), rate))
-            with np.errstate(over="ignore", invalid="ignore"):  # a zero rate drops its jump
-                total += rate * normalized[-1][1] if rate > 0.0 else 0.0
+            if rate > 0.0:  # a zero rate drops its jump
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total += rate * normalized[-1][1]
             if not np.isfinite(total).all():
                 raise OutOfRangeError(f"jump operator {idx + 1} makes the generator overflow")
         if top <= 0.0:
             raise OutOfRangeError("at least one jump rate must be positive")
         object.__setattr__(self, "jumps", tuple((op, rate) for op, _, rate in normalized))
         object.__setattr__(self, "_terms", tuple(normalized))
+        object.__setattr__(self, "_generator", _frozen(total))
 
 
 ChannelSpec = Union[
@@ -394,9 +399,12 @@ def liouvillian(channel: ChannelSpec) -> np.ndarray:
 
     Uses ``vec(A X B) = (A kron B^T) vec(X)``, so each jump contributes
     ``rate D(L)``, with its dissipator ``D(L)`` (see :func:`_paired`) built once
-    per operator: the catalog's at import, a custom channel's at construction.
-    A catalog channel whose sum overflows raises :class:`UnsupportedChannelError`.
+    per operator: the catalog's at import, a custom channel's at construction,
+    where its sum is kept and each call returns a copy.  A catalog channel
+    whose sum overflows raises :class:`UnsupportedChannelError`.
     """
+    if isinstance(channel, CustomChannel):
+        return channel._generator.copy()
     out = np.zeros((16, 16), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, d, rate in _jump_terms(channel):

@@ -247,7 +247,10 @@ def _density_stack(
 
 
 def _hermitize(matrix: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
-    """Check a matrix's entries and asymmetry, not its spectrum; return its Hermitian average."""
+    """Check a matrix's shape, entries and asymmetry, not its spectrum; return
+    its Hermitian average."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValidationError(f"expected a square {what}, got shape {matrix.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         (asym,), (hermitian,) = _averaged(matrix[None])
     kind = None if asym <= tol.eps_psd else "asym" if np.isfinite(matrix).all() else "finite"

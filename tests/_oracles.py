@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from esdkit import _floattext
 from esdkit.channels import (
     CollectiveDephasing,
     IndependentDecay,
@@ -401,3 +402,36 @@ def trajectory_to_csv_reference(traj):
     lines = [CSV_HEADER]
     lines += [",".join(map(repr, row[:-2])) + gap + ",".join(map(repr, row[-2:])) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def shortest_three_products(bits):
+    """``_floattext._shortest`` with all three of Schubfach's 128-bit products
+    multiplied out in full, the value and both ends of its rounding interval
+    on a ``(3, n)`` stack, so that the kernel's carries have a reference."""
+    bq = (bits >> 52).astype(np.int64)
+    t = bits & np.uint64(0xFFFFFFFFFFFFF)
+    c = t | ((bq > 0).astype(np.uint64) << 52)
+    q = np.maximum(bq, 1) - 1075
+    irregular = (t == 0) & (bq > 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    g1, g1h, g1l, g0h, g0l = _floattext._G.take(k + 324, axis=1)[:5]
+    cb = c << 2
+    cps = np.stack((cb, cb - 2 + irregular, cb + 2)) << h
+    cph, cpl = cps >> 32, cps & _floattext._M32
+    m63 = _floattext._M63
+    z = (g1 * cps >> 1) + _floattext._mulhi(g0h, g0l, cph, cpl)
+    vb, vbl, vbr = _floattext._mulhi(g1h, g1l, cph, cpl) + (z >> 63) | ((z & m63) + m63) >> 63
+    out = c & 1
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    tp10 = sp10 + 10
+    upin = vbl + out <= sp10 << 2
+    wpin = (tp10 << 2) + out <= vbr
+    s1 = s + 1
+    uin = vbl + out <= s << 2
+    win = (s1 << 2) + out <= vbr
+    mid = (s + s1) << 1
+    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & (s & 1 == 0)))
+    f = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(lower, s, s1))
+    return f, k

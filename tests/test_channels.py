@@ -42,7 +42,7 @@ from esdkit import (
     x_closed_curves,
 )
 from esdkit import channels
-from esdkit.channels import _jump_terms, _revalidate, _step_plan
+from esdkit.channels import _CATALOG, _jump_terms, _paired, _revalidate, _step_plan
 from esdkit.errors import (
     OutOfRangeError,
     ParseError,
@@ -202,6 +202,34 @@ def test_dissipators_are_built_once_and_read_only():
         custom = CustomChannel(tuple(jump_operators(channel)))
         assert _jump_terms(custom)[0][1] is _jump_terms(custom)[0][1]
         assert np.array_equal(liouvillian(custom), liouvillian(channel))
+
+
+def test_catalog_pairs_equal_the_matmul_built_ones_bit_for_bit():
+    # the catalog forms L^dag L without a matmul, so that importing esdkit
+    # starts no BLAS; its bits, signed zeros included, are those of the matmul
+    catalog = (IndependentDecay(1.0, 1.0, nbar=1.0), IndependentDephasing(1.0, 1.0),
+               CollectiveDephasing(1.0))
+    assert {type(channel) for channel in catalog} == set(_CATALOG)
+    pairs = {id(op): (op, d) for channel in catalog for op, d, _ in channel._terms}
+    assert len(pairs) == 7  # sigma-, sigma+ and sigma_z on each qubit, and the inversion
+    for op, dissipator in pairs.values():
+        ref_op, ref_dissipator = _paired(np.array(op))
+        assert op.tobytes() == ref_op.tobytes()
+        assert dissipator.tobytes() == ref_dissipator.tobytes()
+
+
+def test_custom_generator_is_summed_once_and_copied_per_call():
+    rng = np.random.default_rng(3)
+    ops = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+    custom = CustomChannel(((ops[0], 0.7), (ops[1], 0.0), (ops[2], 1.3)))
+    summed = np.zeros((16, 16), dtype=complex)
+    for _, d, rate in _jump_terms(custom):
+        summed += rate * d
+    first = liouvillian(custom)
+    assert first.tobytes() == summed.tobytes()  # the bits, signed zeros included
+    first[0, 0] = 5.0  # a fresh writable copy: the kept sum stays as it was
+    assert liouvillian(custom).tobytes() == summed.tobytes()
+    assert liouvillian(custom) is not liouvillian(custom)
 
 
 def test_liouvillian_consistent_with_generator():

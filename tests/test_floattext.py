@@ -8,7 +8,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from esdkit._floattext import _CHUNK, _KERNEL_FROM, _kernel_rows, format_rows
+from _oracles import shortest_three_products
+from esdkit._floattext import _CHUNK, _KERNEL_FROM, _kernel_rows, _shortest, format_rows
 
 
 def assert_rows(text, expected):
@@ -54,6 +55,27 @@ def test_decimal_grid():
     # d * 10**e for every d < 1000, rounded to the nearest float, over the
     # whole exponent range; 1e23 and its kin sit between two floats
     assert_repr([float(f"{d}e{e}") for d in range(1, 1000) for e in range(-326, 309)])
+
+
+def test_one_product_kernel_matches_the_three_product_reference():
+    # (f, k) bit for bit, so that a carry or borrow slip in an interval end
+    # names its float before it reaches the text: the random bit patterns of
+    # test_random_bit_patterns, every power of two with both neighbours, and
+    # mantissas 0, 1 and 2**52 - 1 at every biased exponent
+    rng = np.random.default_rng(20261018)
+    patterns = rng.integers(0, 2**64, 10**6, dtype=np.uint64) & np.uint64(2**63 - 1)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.uint64)
+    exponents = np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)
+    mantissas = (exponents | np.array([0, 1, 2**52 - 1], np.uint64)).ravel()
+    one = np.uint64(1)
+    bits = np.concatenate((patterns, powers - one, powers, powers + one, mantissas))
+    bits = bits[(bits > 0) & (bits < np.uint64(0x7FF0000000000000))]
+    for lo in range(0, len(bits), 2**16):
+        chunk = bits[lo : lo + 2**16]
+        (f, k), (want_f, want_k) = _shortest(chunk), shortest_three_products(chunk)
+        wrong = np.flatnonzero((f != want_f) | (k != want_k))
+        floats = chunk.view(np.float64)
+        assert not wrong.size, [(floats[i], f[i], k[i], want_f[i], want_k[i]) for i in wrong[:3]]
 
 
 @pytest.mark.parametrize("x", [1e16, 1e-4, 1e15, 1e17, 9.999999999999999e15])

@@ -69,7 +69,7 @@ from esdkit import (
     trajectory_to_csv,
     x_closed_curves,
 )
-from esdkit.errors import ParseError
+from esdkit.errors import ParseError, ValidationError
 
 from _cli import cli_env
 from _oracles import classify_set_scalar, death_time_scalar, pt_entrywise
@@ -569,6 +569,12 @@ def test_corpus_library_calls():
             with pytest.raises(ValueError):
                 call()
         assert not caught
+    # a matrix that is not square, once numpy's broadcast, transpose or reduction errors
+    for shape in ((2, 3), (3,), (2, 2, 2), (0, 0)):
+        message = re.escape(f"expected a square matrix, got shape {shape}")
+        with pytest.raises(ValidationError, match=message):
+            eigenvalues_hermitian(np.zeros(shape))
+    assert np.array_equal(eigenvalues_hermitian([[2.0]]), [2.0])
     # a 2x2 matrix, once an IndexError from a 4x4 trace
     for matrix in (np.eye(2) / 2, reduce_qubit(embed_x(bell("phi+")), "A").matrix):
         assert np.array_equal(eigenvalues_hermitian(matrix), [0.5, 0.5])
