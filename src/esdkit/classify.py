@@ -220,6 +220,8 @@ def _member_chunks(aset: AsymptoticSet | np.ndarray, n_samples: int,
 
 def _check_sampling(n_samples: int, seed: int) -> None:
     for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if not hasattr(type(value), "__index__"):  # what operator.index takes, as for range()
+            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise OutOfRangeError(f"{name} must be nonnegative, got {value!r}")
 
@@ -233,7 +235,7 @@ def sample_asymptotic(
     as-is; an X family returns the deterministic extreme members (simplex
     vertices and face centers, each with coherences at 0 and at the
     positivity bound) plus ``n_samples`` seeded uniform interior members.
-    A negative ``n_samples`` or ``seed`` raises
+    A negative or non-integer ``n_samples`` or ``seed`` raises
     :class:`~esdkit.errors.OutOfRangeError`.
     """
     _check_sampling(n_samples, seed)
@@ -268,8 +270,8 @@ def classify_set(
     :class:`Evidence` when it is read.  A malformed member (non-finite,
     non-Hermitian, off unit trace or not positive) raises a
     :class:`~esdkit.errors.ValidationError` naming its position, as does a
-    member array not of shape (n, 4, 4); a negative ``n_samples`` or
-    ``seed`` raises :class:`~esdkit.errors.OutOfRangeError`.  Labels,
+    member array not of shape (n, 4, 4); a negative or non-integer
+    ``n_samples`` or ``seed`` raises :class:`~esdkit.errors.OutOfRangeError`.  Labels,
     margins and evidence literals are byte for byte those of
     :func:`~esdkit.entanglement.classify_position` and
     :func:`~esdkit.states.format_state_literal` applied member by member.

@@ -73,7 +73,6 @@ from .states import (
     ToleranceConfig,
     XState,
     _unchecked_density,
-    _x_matrices,
     embed_x,
     make_x,
     project_x,
@@ -111,26 +110,29 @@ CSV_HEADER = "t,negativity,min_pt_eig,min_eig,a,b,c,d,abs_w,abs_z"
 
 @dataclass(frozen=True, eq=False)
 class _StateView(Sequence):
-    """Read-only sequence over a frozen (n, 4, 4) stack of density
-    matrices; each access wraps its row in a new :class:`DensityMatrix`."""
+    """Read-only sequence over a frozen (n, 4, 4) stack or six read-only X curves, whose
+    rows :func:`embed_x` builds when read; each access gives a new :class:`DensityMatrix`."""
 
-    stack: np.ndarray = field(repr=False)
+    rows: np.ndarray | tuple = field(repr=False)  # the stack, or the X curves
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self.rows[0] if isinstance(self.rows, tuple) else self.rows)
 
     def __getitem__(self, i) -> DensityMatrix:
-        return DensityMatrix(self.stack[operator.index(i)])
+        i = operator.index(i)
+        if isinstance(self.rows, tuple):
+            return embed_x(XState(*(curve[i] for curve in self.rows)))
+        return DensityMatrix(self.rows[i])
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution with per-sample diagnostics.
 
-    Population arrays ``a..d`` are present only for X trajectories (the
-    closed-form path); ``abs_w``/``abs_z`` record the anti-diagonal entry
-    magnitudes for every trajectory.  ``states`` is a read-only sequence
-    view over the sampled matrices (``len``, indexing, iteration); each
+    Population arrays ``a..d``, all four or none, are present only for X
+    trajectories (read-only from the closed form); ``abs_w``/``abs_z`` record
+    the anti-diagonal entry magnitudes of every trajectory.  ``states`` is a
+    read-only view over the samples (``len``, indexing, iteration); each
     access returns a new :class:`DensityMatrix` over a read-only row.
     """
 
@@ -150,7 +152,10 @@ class Trajectory:
         n = len(self.times)
         columns = [self.states, self.negativity, self.min_pt_eig, self.min_eig,
                    self.abs_w, self.abs_z]
-        columns += [col for col in (self.a, self.b, self.c, self.d) if col is not None]
+        populations = [col for col in (self.a, self.b, self.c, self.d) if col is not None]
+        if len(populations) not in (0, 4):
+            raise ValidationError("trajectory populations a..d must be all given or all None")
+        columns += populations
         if any(len(col) != n for col in columns):
             raise ValidationError("trajectory columns have mismatched lengths")
         if n == 0:
@@ -236,10 +241,10 @@ def simulate(
 ) -> Trajectory:
     """Sample the evolution of ``state0`` over ``[0, horizon]``.
 
-    Uses the exact closed form when the initial state is X (or projects to
-    X) and the channel is in the catalog; otherwise integrates numerically
-    with fixed-step RK4.  ``dt`` defaults to ``1e-3 / max_rate(channel)``
-    and ``sample_every`` to about ``DEFAULT_SAMPLES`` retained samples.
+    Uses the exact closed form, kept as six curves and no matrices, when the
+    initial state is X (or projects to X) and the channel is in the catalog;
+    otherwise integrates with fixed-step RK4.  ``dt`` defaults to
+    ``1e-3 / max_rate(channel)``, ``sample_every`` to about ``DEFAULT_SAMPLES`` samples.
     The final sample lands on ``horizon`` exactly, after one shorter last
     step when ``horizon`` is not a multiple of ``dt`` (a default ``dt`` or
     a ``horizon / dt`` that overflows raises :class:`ValidationError`).  RK4
@@ -269,27 +274,25 @@ def simulate(
     ks[-1] = n_steps
     times = np.minimum(np.asarray(ks, dtype=float) * dt, horizon)
 
-    populations: tuple[np.ndarray, ...] = ()  # a..d, of X trajectories only
     if x0 is not None and is_catalog(channel):
         curves = x_closed_curves(x0, channel, times)
-        stack = _x_matrices(curves)
-        populations = curves[:4]
+        for curve in curves:  # states and a..d read them
+            curve.setflags(write=False)
         neg, outer_pt, inner_pt = _pt_blocks(curves)
-        min_pt = np.minimum(outer_pt, inner_pt)
         # the state's own blocks are its partial transpose's with w and z swapped back
         min_eig = np.minimum(*_pt_blocks((*curves[:4], curves[5], curves[4]))[1:])
-    else:
-        if x0 is not None and not isinstance(state0, DensityMatrix):
-            state0 = embed_x(x0)
-        vs = _rk4_samples(liouvillian(channel), state0.matrix.reshape(16), dt, h_last, ks)
-        later, later_min = _revalidate(vs[1:].reshape(-1, 4, 4), tol)
-        stack = np.concatenate([state0.matrix[None], later])
-        min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
-        neg, min_pt = _pt_diagnostics(stack)
-
+        return Trajectory(times, _StateView(curves), neg, np.minimum(outer_pt, inner_pt),
+                          min_eig, np.abs(curves[4]), np.abs(curves[5]), *curves[:4])
+    if x0 is not None and not isinstance(state0, DensityMatrix):
+        state0 = embed_x(x0)
+    vs = _rk4_samples(liouvillian(channel), state0.matrix.reshape(16), dt, h_last, ks)
+    later, later_min = _revalidate(vs[1:].reshape(-1, 4, 4), tol)
+    stack = np.concatenate([state0.matrix[None], later])
     stack.setflags(write=False)
+    min_eig = np.concatenate([np.linalg.eigvalsh(state0.matrix)[:1], later_min])
+    neg, min_pt = _pt_diagnostics(stack)
     return Trajectory(times, _StateView(stack), neg, min_pt, min_eig, np.abs(stack[:, 0, 3]),
-                      np.abs(stack[:, 1, 2]), **dict(zip("abcd", populations)))
+                      np.abs(stack[:, 1, 2]))
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -595,7 +598,8 @@ def death_report_from_json(text: str) -> DeathReport:
     if isinstance(crossings, bool) or not isinstance(crossings, int):
         raise ParseError(f"death report crossings must be an integer, got {crossings!r}")
     for name in ("t_star", "horizon", "epsilon_death"):
-        if isinstance(payload[name], bool):
+        # JSON gives exact types; a boolean or a string is no number, though float() takes it
+        if type(payload[name]) not in (int, float) and not (name == "t_star" and t_star is None):
             raise ParseError(f"death report {name} must be a number, got {payload[name]!r}")
     try:
         return DeathReport(
@@ -605,5 +609,5 @@ def death_report_from_json(text: str) -> DeathReport:
             crossings,
             float(payload["epsilon_death"]),
         )
-    except (TypeError, ValueError) as exc:  # a non-number, or a report DeathReport refuses
+    except (OverflowError, ValueError) as exc:  # an int past floats, or a report refused
         raise ParseError(f"bad death report JSON: {exc}") from None

@@ -450,10 +450,11 @@ def bell_mixture(weights) -> XState:
     p = np.asarray(weights, dtype=float)
     if p.shape != (4,):
         raise BadDistributionError(f"expected 4 weights, got shape {p.shape}")
-    if float(p.min()) < -1e-12:
-        raise BadDistributionError(f"negative weight {float(p.min())!r}")
+    low = float(p.min())  # NaN compares False, so it fails both checks
+    if not low >= -1e-12:
+        raise BadDistributionError(f"weight {low!r} is negative or not a number")
     drift = abs(float(p.sum()) - 1.0)
-    if drift > DEFAULT_TOL.eps_trace:
+    if not drift <= DEFAULT_TOL.eps_trace:
         raise BadDistributionError(f"weights sum deviates from 1 by {drift:.3e}")
     outer = (p[0] + p[1]) / 2.0
     inner = (p[2] + p[3]) / 2.0

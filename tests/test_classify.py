@@ -92,6 +92,25 @@ def test_negative_seed_or_count_is_refused_for_every_set_type():
                     sample_asymptotic(aset, n_samples=n_samples, seed=seed)
 
 
+def test_non_integer_seed_or_count_is_refused_by_name():
+    sets = (SinglePoint(thermal_product(0.0)), XFamily(w_zero=True, z_zero=False))
+    for n_samples, seed, name in ((2.5, 0, "n_samples"), (5, 0.5, "seed"), (5, "1", "seed"),
+                                  (None, 0, "n_samples"), (np.float64(3.0), 0, "n_samples")):
+        match = f"^{name} must be an integer, got "
+        for aset in sets:
+            with pytest.raises(OutOfRangeError, match=match):
+                classify_set(aset, n_samples=n_samples, seed=seed)
+            with pytest.raises(OutOfRangeError, match=match):
+                sample_asymptotic(aset, n_samples=n_samples, seed=seed)
+        for channel in (IndependentDecay(1, 1), CollectiveDephasing(1.0)):
+            with pytest.raises(OutOfRangeError, match=match):
+                classify_channel(channel, n_samples=n_samples, seed=seed)
+    # anything operator.index takes is an integer, as for range()
+    label = classify_channel(CollectiveDephasing(1.0), n_samples=np.int64(5), seed=np.uint8(3))
+    same = classify_channel(CollectiveDephasing(1.0), n_samples=5, seed=3)
+    assert scenario_to_json(label) == scenario_to_json(same)
+
+
 def test_sample_x_family_members_valid_and_deterministic():
     family = XFamily(w_zero=True, z_zero=False)
     first = sample_asymptotic(family, n_samples=20, seed=3)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -195,7 +196,8 @@ def test_simulate_blocked_hops_match_looped_rk4(horizon, retained):
 @pytest.mark.parametrize("dense", [False, True])
 def test_trajectory_states_view(dense):
     state0 = random_density(7) if dense else random_x(7)
-    traj = simulate(state0, IndependentDecay(1.0, 0.6, 0.2), horizon=1.0, sample_every=150)
+    channel = IndependentDecay(1.0, 0.6, 0.2)
+    traj = simulate(state0, channel, horizon=1.0, sample_every=150)
     assert traj.is_x is not dense
     states = traj.states
     n = len(traj.times)
@@ -209,15 +211,49 @@ def test_trajectory_states_view(dense):
             states[i]
     rows = list(states)
     assert len(rows) == n
+    curves = None if dense else x_closed_curves(state0, channel, traj.times)
     for i, rho in enumerate(rows):
         assert isinstance(rho, DensityMatrix)
-        np.testing.assert_array_equal(rho.matrix, states.stack[i])
+        if dense:
+            # the same read-only row at every access
+            np.testing.assert_array_equal(rho.matrix, states[i].matrix)
+            np.testing.assert_array_equal(rho.matrix, states[i - n].matrix)
+        else:
+            # bit for bit the embedding of the closed-form sample
+            row = embed_x(XState(*(curve[i] for curve in curves))).matrix
+            assert rho.matrix.tobytes() == row.tobytes()
+            assert states[i - n].matrix.tobytes() == row.tobytes()
         assert not rho.matrix.flags.writeable
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
-    # each access builds a new wrapper over the same read-only row
+    # each access builds a new wrapper
     assert states[1] is not states[1]
-    assert not states.stack.flags.writeable
+    np.testing.assert_array_equal(np.abs([rho.matrix[0, 3] for rho in rows]), traj.abs_w)
+    np.testing.assert_array_equal(np.abs([rho.matrix[1, 2] for rho in rows]), traj.abs_z)
+
+
+def test_closed_form_populations_are_read_only():
+    traj = simulate(random_x(3), IndependentDephasing(0.5, 0.3), horizon=1.0, sample_every=100)
+    for col in (traj.a, traj.b, traj.c, traj.d):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0.25
+
+
+def test_closed_form_trajectory_holds_no_matrix_stack():
+    # 2,001 samples held as columns, less than one (n, 4, 4) complex stack of n * 256 bytes
+    x0, channel = random_x(7), IndependentDecay(1.0, 0.5)
+    simulate(x0, channel, 4.0)  # warm any first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate(x0, channel, 4.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = len(traj.times)
+    assert n == 2001
+    assert held < n * 256, held
 
 
 @pytest.mark.parametrize("horizon", [1e20, 1e300])
@@ -909,17 +945,23 @@ def test_death_report_json_errors():
     for crossings in ("2.7", "1.0", "true", '"1"'):
         with pytest.raises(ParseError, match="crossings"):
             death_report_from_json(f'{{{fields}, "crossings": {crossings}}}')
-    # a JSON boolean is no number, although Python's float() takes it
+    # a JSON boolean, string or list is no number, although Python's float() takes some
     for name, value in (("t_star", "1.5"), ("horizon", "10.0"), ("epsilon_death", "1e-10")):
-        document = f'{{{fields}, "crossings": 1}}'.replace(f'"{name}": {value}', f'"{name}": true')
-        with pytest.raises(ParseError, match=f"^death report {name} must be a number, got True$"):
-            death_report_from_json(document)
+        for bad, shown in (("true", "True"), ('"0.5"', "'0.5'"), ('"x"', "'x'"),
+                           ("[1]", r"\[1\]"), ("null", "None")):
+            if name == "t_star" and bad == "null":  # no t_star: a finite verdict is refused below
+                continue
+            document = f'{{{fields}, "crossings": 1}}'.replace(f'"{name}": {value}',
+                                                              f'"{name}": {bad}')
+            match = f"^death report {name} must be a number, got {shown}$"
+            with pytest.raises(ParseError, match=match):
+                death_report_from_json(document)
     # every malformed document is a ParseError, whichever check refuses it
     for document, reason in (
         ('{"verdict": "finite", "t_star": NaN, "horizon": NaN, "crossings": 0,'
          ' "epsilon_death": -1}', "horizon must be positive"),
-        (f'{{{fields}, "crossings": 1}}'.replace("10.0", "[1]"), "float"),
-        (f'{{{fields}, "crossings": 1}}'.replace("1.5", '"x"'), "could not convert"),
+        (f'{{{fields}, "crossings": 1}}'.replace("10.0", "1" + "0" * 400), "int too large"),
+        (f'{{{fields}, "crossings": 1}}'.replace("1.5", "null"), "t_star must be present"),
         (f'{{{fields}, "crossings": 1}}'.replace('"finite"', '"gone"'), "unknown verdict"),
         (f'{{{fields}, "crossings": 1}}'.replace("1.5", "NaN"), "t_star must be finite"),
     ):
@@ -964,3 +1006,9 @@ def test_trajectory_validation():
     with pytest.raises(ValidationError):
         Trajectory(np.array([]), (), np.array([]), np.array([]), np.array([]),
                    np.array([]), np.array([]))
+    # the populations are all given or all absent
+    with pytest.raises(ValidationError, match="populations a..d must be all given or all None"):
+        Trajectory(np.array([0.0, 1.0, 2.0]), filler, zeros, zeros, zeros, zeros, zeros, a=zeros)
+    full = dict(zip("abcd", (zeros,) * 4))
+    assert Trajectory(np.array([0.0, 1.0, 2.0]), filler, zeros, zeros, zeros, zeros, zeros,
+                      **full).is_x

@@ -369,6 +369,10 @@ def test_bell_mixture():
         bell_mixture([0.7, 0.5, -0.1, -0.1])
     with pytest.raises(BadDistributionError):
         bell_mixture([0.3, 0.3, 0.3, 0.3])
+    # NaN compares False: each weight check still refuses it, naming the weight
+    for weights in ([np.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, np.nan]):
+        with pytest.raises(BadDistributionError, match="^weight nan is negative or not a number$"):
+            bell_mixture(weights)
 
 
 def test_random_density_determinism_and_validity():
